@@ -26,6 +26,33 @@ pub struct PerfRecord {
     pub events: u64,
     /// Rough peak-heap estimate (arena capacities; see `heap_estimate_bytes`).
     pub heap_bytes: u64,
+    /// Flow-network work counters: exact, so they gate host-time work
+    /// without timing noise.
+    pub net: NetWork,
+}
+
+/// Deterministic work counters of one run's `FlowNet` (DESIGN.md §4.3).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct NetWork {
+    pub recomputes: u64,
+    pub next_event_calls: u64,
+    pub next_event_misses: u64,
+    pub next_event_scans: u64,
+    pub advance_calls: u64,
+    pub shared_pushes: u64,
+}
+
+impl NetWork {
+    pub fn of<T>(net: &memres_net::FlowNet<T>) -> Self {
+        NetWork {
+            recomputes: net.recomputes,
+            next_event_calls: net.next_event_calls,
+            next_event_misses: net.next_event_misses,
+            next_event_scans: net.next_event_scans,
+            advance_calls: net.advance_calls,
+            shared_pushes: net.shared_pushes,
+        }
+    }
 }
 
 impl PerfRecord {
@@ -97,6 +124,7 @@ fn time_run(
         sim_s: m.job_time(),
         events: d.engine_steps(),
         heap_bytes: d.heap_estimate_bytes(),
+        net: NetWork::of(&d.world().net),
     }
 }
 
@@ -149,7 +177,7 @@ pub fn table(records: &[PerfRecord]) -> Table {
 }
 
 /// Machine-readable record: `{"target", "scale", "seed", "runs": [...],
-/// "total_wall_s"}`.
+/// "total_wall_s"}`; each run carries its [`NetWork`] counters flat.
 pub fn to_json(setup: Setup, records: &[PerfRecord]) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"target\": \"bench\",");
@@ -162,13 +190,21 @@ pub fn to_json(setup: Setup, records: &[PerfRecord]) -> String {
         }
         let _ = write!(
             out,
-            "\n    {{\"name\": \"{}\", \"wall_s\": {}, \"sim_job_s\": {}, \"events\": {}, \"events_per_s\": {}, \"heap_bytes\": {}}}",
+            "\n    {{\"name\": \"{}\", \"wall_s\": {}, \"sim_job_s\": {}, \"events\": {}, \"events_per_s\": {}, \"heap_bytes\": {}, \
+             \"recomputes\": {}, \"next_event_calls\": {}, \"next_event_misses\": {}, \"next_event_scans\": {}, \
+             \"advance_calls\": {}, \"shared_pushes\": {}}}",
             escape(r.name),
             num(r.wall_s),
             num(r.sim_s),
             r.events,
             num(r.events_per_sec()),
-            r.heap_bytes
+            r.heap_bytes,
+            r.net.recomputes,
+            r.net.next_event_calls,
+            r.net.next_event_misses,
+            r.net.next_event_scans,
+            r.net.advance_calls,
+            r.net.shared_pushes,
         );
     }
     if !records.is_empty() {
@@ -193,6 +229,14 @@ mod tests {
                 sim_s: 100.0,
                 events: 1000,
                 heap_bytes: 2 * 1024 * 1024,
+                net: NetWork {
+                    recomputes: 3,
+                    next_event_calls: 9,
+                    next_event_misses: 4,
+                    next_event_scans: 40,
+                    advance_calls: 1,
+                    shared_pushes: 0,
+                },
             },
             PerfRecord {
                 name: "b",
@@ -200,6 +244,7 @@ mod tests {
                 sim_s: 200.0,
                 events: 3000,
                 heap_bytes: 1024,
+                net: NetWork::default(),
             },
         ];
         let j = to_json(
@@ -211,7 +256,9 @@ mod tests {
         );
         assert!(j.contains("\"total_wall_s\": 1.0"));
         assert!(j.contains(
-            "{\"name\": \"a\", \"wall_s\": 0.25, \"sim_job_s\": 100.0, \"events\": 1000, \"events_per_s\": 4000.0, \"heap_bytes\": 2097152}"
+            "{\"name\": \"a\", \"wall_s\": 0.25, \"sim_job_s\": 100.0, \"events\": 1000, \"events_per_s\": 4000.0, \"heap_bytes\": 2097152, \
+             \"recomputes\": 3, \"next_event_calls\": 9, \"next_event_misses\": 4, \"next_event_scans\": 40, \
+             \"advance_calls\": 1, \"shared_pushes\": 0}"
         ));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         let t = table(&recs);
@@ -230,9 +277,26 @@ mod tests {
             sim_s: 1.0,
             events: 12345,
             heap_bytes: 0,
+            net: NetWork::default(),
         };
         assert_eq!(r.events_per_sec(), 0.0);
         assert!(r.events_per_sec().is_finite());
+    }
+
+    /// The `next_event` memo is exact and misses only after an event that
+    /// can change the answer: a water-fill recompute, a clock move, or a
+    /// push onto a shared flow. Without the memo every call would miss.
+    #[test]
+    fn next_event_misses_only_after_invalidating_events() {
+        let (spec, cfg, gb) = cell(Setup::smoke(), "fig7a_400gb_ramdisk").expect("known cell");
+        let mut d = Driver::new(spec, cfg);
+        d.run_for_metrics(&gb.build(), gb.action());
+        let w = NetWork::of(&d.world().net);
+        assert!(w.next_event_misses > 0 && w.next_event_scans > 0, "{w:?}");
+        assert!(
+            w.next_event_misses <= w.recomputes + w.advance_calls + w.shared_pushes,
+            "memo missed without an invalidating event: {w:?}"
+        );
     }
 
     #[test]

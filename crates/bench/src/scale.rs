@@ -18,7 +18,7 @@
 //! exists; the larger baselines would run for hours.
 
 use crate::json::{escape, num};
-use crate::perf::PerfRecord;
+use crate::perf::{NetWork, PerfRecord};
 use crate::Table;
 use memres_core::prelude::*;
 use memres_des::units::MB;
@@ -134,6 +134,7 @@ pub fn run(c: ScaleCell, seed: u64, baseline: bool) -> PerfRecord {
         sim_s: m.job_time(),
         events: d.engine_steps(),
         heap_bytes: d.heap_estimate_bytes(),
+        net: NetWork::of(&d.world().net),
     }
 }
 
@@ -254,6 +255,7 @@ mod tests {
             sim_s: 10.0,
             events: 5000,
             heap_bytes: 1024,
+            net: NetWork::default(),
         };
         let j = to_json(1, false, &[r]);
         assert!(j.contains("\"target\": \"scale\""));

@@ -884,9 +884,12 @@ impl SimWorld {
     /// Cheap cross-checks of live engine state against independent
     /// reimplementations, for the differential-fuzz harness (DESIGN.md
     /// §4.13). Currently: the incremental water-filling allocation vs a
-    /// from-scratch progressive-filling pass over the same active flows.
+    /// from-scratch progressive-filling pass over the same active flows,
+    /// and the memoized next network completion vs a from-scratch min over
+    /// the flows' heads.
     pub fn audit_invariants(&mut self) -> Result<(), String> {
-        self.net.audit_waterfill()
+        self.net.audit_waterfill()?;
+        self.net.audit_next_event()
     }
 
     /// Final CAD dispatch interval (diagnostics).

@@ -13,17 +13,36 @@
 //! per-(source,destination) traffic of many reduce tasks into one flow and
 //! uses chunk tags to learn when each task's piece has been delivered,
 //! keeping the event count linear in tasks rather than tasks × nodes.
+//!
+//! Flows live in a dense slab (`Vec` plus a free list of vacated slots), and
+//! a [`FlowId`] handle carries its slot, so every lookup is one index.
+//! [`FlowNet::next_event`] memoizes its answer until an event that can change
+//! it (DESIGN.md §4.3).
 
 use memres_des::sim::Gen;
 use memres_des::time::{SimTime, NANOS_PER_SEC};
 use memres_des::Bytes;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LinkId(pub u32);
 
+/// Handle to a flow: its id, plus the slab slot the flow lives in. Ids are
+/// handed out in opening order and never reused; they are what traces
+/// report, and they order the active set. A slot is reused once its flow is
+/// gone, so the id also tells a stale handle from the slot's new tenant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct FlowId(pub u64);
+pub struct FlowId {
+    id: u64,
+    slot: u32,
+}
+
+impl FlowId {
+    /// The flow's id (the value `FlowStart`/`FlowEnd` trace events carry).
+    pub fn id(self) -> u64 {
+        self.id
+    }
+}
 
 struct Chunk<T> {
     /// FIFO flows: undelivered bytes of this chunk. Shared (processor-
@@ -34,6 +53,8 @@ struct Chunk<T> {
 }
 
 struct Flow<T> {
+    /// The id of the handle that owns this slot.
+    id: u64,
     links: Vec<LinkId>,
     queue: VecDeque<Chunk<T>>,
     rate: f64,
@@ -70,13 +91,28 @@ pub struct Delivered<T> {
 
 pub struct FlowNet<T> {
     links: Vec<Link>,
-    flows: BTreeMap<u64, Flow<T>>,
+    /// Flow slab, indexed by [`FlowId`] slot. `None` marks a vacated slot,
+    /// listed in `free` for reuse, so the slab's length is the peak count
+    /// of flows open at once, not the count ever opened.
+    flows: Vec<Option<Flow<T>>>,
+    free: Vec<u32>,
     next_flow: u64,
     last: SimTime,
     gen: Gen,
     delivered: Vec<Delivered<T>>,
-    /// Count of rate recomputations (exposed for perf assertions in tests).
+    /// Deterministic work counters (exposed for perf assertions and
+    /// `repro bench --json`). `recomputes`: water-filling passes.
     pub recomputes: u64,
+    /// `next_event` calls, and the calls the memo could not answer.
+    pub next_event_calls: u64,
+    pub next_event_misses: u64,
+    /// Active flows visited by `next_event` on memo misses.
+    pub next_event_scans: u64,
+    /// `advance` passes that moved the fluid clock (zero-length advances
+    /// return before doing any work and are not counted).
+    pub advance_calls: u64,
+    /// Non-empty chunks pushed onto shared (processor-sharing) flows.
+    pub shared_pushes: u64,
     /// Batch mode marker: the engine brackets each event-dispatch round so a
     /// burst of flow operations settles in one recompute at `end_batch`.
     in_batch: bool,
@@ -86,17 +122,24 @@ pub struct FlowNet<T> {
     /// set unchanged (e.g. queueing behind an already-active flow) never
     /// trigger one.
     dirty: bool,
-    /// Ids of flows with queued bytes, ascending (fixes the iteration order
-    /// of `advance` and the freeze order of the water-filling pass).
-    active: Vec<u64>,
-    /// Per-link ascending ids of active flows crossing it — the water-
-    /// filling pass freezes a bottleneck's flows without scanning the whole
-    /// active set.
-    flows_on_link: Vec<Vec<u64>>,
+    /// `next_event`'s last answer while it still holds; `None` once an event
+    /// that can change it happened: a recompute, a clock move, or a push
+    /// onto a shared flow. Every other mutation either leaves every active
+    /// head, rate and member count alone or sets `dirty`, and `next_event`
+    /// settles (and so recomputes) before it reads the memo.
+    next_memo: Option<Option<SimTime>>,
+    /// Slots of flows with queued bytes, ascending by flow id (fixes the
+    /// iteration order of `advance` and the freeze order of the
+    /// water-filling pass).
+    active: Vec<u32>,
+    /// Per-link slots of active flows crossing it, ascending by flow id —
+    /// the water-filling pass freezes a bottleneck's flows without scanning
+    /// the whole active set.
+    flows_on_link: Vec<Vec<u32>>,
     /// Scratch buffers reused across recomputes (no per-call allocation).
     scratch_remaining: Vec<f64>,
     scratch_unfrozen: Vec<u32>,
-    scratch_emptied: Vec<u64>,
+    scratch_emptied: Vec<u32>,
     /// Optional trace sink: flow activations/drains become `flow_start` /
     /// `flow_end` events (DESIGN.md §4.11). `None` costs nothing.
     tracer: Option<memres_trace::SharedSink>,
@@ -112,14 +155,22 @@ impl<T> FlowNet<T> {
     pub fn new() -> Self {
         FlowNet {
             links: Vec::new(),
-            flows: BTreeMap::new(),
+            flows: Vec::new(),
+            free: Vec::new(),
             next_flow: 0,
             last: SimTime::ZERO,
             gen: Gen::default(),
             delivered: Vec::new(),
             recomputes: 0,
+            next_event_calls: 0,
+            next_event_misses: 0,
+            next_event_scans: 0,
+            advance_calls: 0,
+            shared_pushes: 0,
             in_batch: false,
             dirty: false,
+            // Exact from the start: with no flows there is no next event.
+            next_memo: Some(None),
             active: Vec::new(),
             flows_on_link: Vec::new(),
             scratch_remaining: Vec::new(),
@@ -160,35 +211,58 @@ impl<T> FlowNet<T> {
         }
     }
 
-    /// Mark flow `id` active: index it on its links and in the active list.
-    fn activate(&mut self, id: u64) {
-        let links = &self.flows[&id].links;
-        for l in links {
+    /// The live flow behind handle `h`, or `None` for a closed flow's handle.
+    fn live(flows: &[Option<Flow<T>>], h: FlowId) -> Option<&Flow<T>> {
+        flows
+            .get(h.slot as usize)?
+            .as_ref()
+            .filter(|f| f.id == h.id)
+    }
+
+    /// Id of the flow in `slot`; the active indexes hold live slots only.
+    fn id_at(flows: &[Option<Flow<T>>], slot: u32) -> u64 {
+        flows[slot as usize].as_ref().map_or(u64::MAX, |f| f.id)
+    }
+
+    /// Mark flow `h` active: index it on its links and in the active list.
+    fn activate(&mut self, h: FlowId) {
+        // lint:allow(panic): callers activate the flow they just pushed onto
+        let f = self.flows[h.slot as usize]
+            .as_ref()
+            .expect("activated flow exists");
+        for l in &f.links {
             let list = &mut self.flows_on_link[l.0 as usize];
-            let pos = list.partition_point(|&x| x < id);
-            list.insert(pos, id);
+            let pos = list.partition_point(|&s| Self::id_at(&self.flows, s) < h.id);
+            list.insert(pos, h.slot);
         }
-        let pos = self.active.partition_point(|&x| x < id);
-        self.active.insert(pos, id);
+        let pos = self
+            .active
+            .partition_point(|&s| Self::id_at(&self.flows, s) < h.id);
+        self.active.insert(pos, h.slot);
         self.dirty = true;
     }
 
-    /// Remove flow `id` (crossing `links`) from the active indexes.
+    /// Remove flow `h` (crossing `links`, still in its slot) from the
+    /// active indexes.
     fn deactivate_indexed(
-        active: &mut Vec<u64>,
-        flows_on_link: &mut [Vec<u64>],
-        id: u64,
+        active: &mut Vec<u32>,
+        flows_on_link: &mut [Vec<u32>],
+        flows: &[Option<Flow<T>>],
+        h: FlowId,
         links: &[LinkId],
     ) {
         for l in links {
             let list = &mut flows_on_link[l.0 as usize];
-            let pos = list.partition_point(|&x| x < id);
-            debug_assert!(list.get(pos) == Some(&id), "flow missing from link index");
+            let pos = list.partition_point(|&s| Self::id_at(flows, s) < h.id);
+            debug_assert!(
+                list.get(pos) == Some(&h.slot),
+                "flow missing from link index"
+            );
             list.remove(pos);
         }
-        let pos = active.partition_point(|&x| x < id);
+        let pos = active.partition_point(|&s| Self::id_at(flows, s) < h.id);
         debug_assert!(
-            active.get(pos) == Some(&id),
+            active.get(pos) == Some(&h.slot),
             "flow missing from active list"
         );
         active.remove(pos);
@@ -249,23 +323,32 @@ impl<T> FlowNet<T> {
             assert!((l.0 as usize) < self.links.len(), "unknown link {l:?}");
         }
         self.advance(now);
-        let id = FlowId(self.next_flow);
+        let id = self.next_flow;
         self.next_flow += 1;
-        self.flows.insert(
-            id.0,
-            Flow {
-                links,
-                queue: VecDeque::new(),
-                rate: 0.0,
-                auto_close,
-                shared,
-                ps_drained: 0.0,
-                active_since: now,
-                period_bytes: 0.0,
-            },
-        );
+        let flow = Some(Flow {
+            id,
+            links,
+            queue: VecDeque::new(),
+            rate: 0.0,
+            auto_close,
+            shared,
+            ps_drained: 0.0,
+            active_since: now,
+            period_bytes: 0.0,
+        });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.flows[slot as usize] = flow;
+                slot
+            }
+            None => {
+                self.flows.push(flow);
+                // lint:allow(panic): 2^32 flows open at once would exhaust memory long before
+                u32::try_from(self.flows.len() - 1).expect("flow slab exceeds u32 slots")
+            }
+        };
         // An empty flow does not consume bandwidth; no recompute needed yet.
-        id
+        FlowId { id, slot }
     }
 
     /// Enqueue `bytes` on a flow; the `tag` comes back via [`FlowNet::poll`] when the
@@ -276,7 +359,9 @@ impl<T> FlowNet<T> {
         self.advance(now);
         let f = self
             .flows
-            .get_mut(&flow.0)
+            .get_mut(flow.slot as usize)
+            .and_then(Option::as_mut)
+            .filter(|f| f.id == flow.id)
             // Callers hold a FlowId from open_flow; close_flow invalidates
             // it. A miss is engine corruption, not recoverable state.
             // lint:allow(panic): FlowId handles come from open_flow
@@ -288,6 +373,10 @@ impl<T> FlowNet<T> {
         }
         let was_idle = f.queue.is_empty();
         if f.shared {
+            // A new member changes the member count `k` and may become the
+            // head, so the memoized next completion no longer holds.
+            self.shared_pushes += 1;
+            self.next_memo = None;
             if was_idle {
                 // Fresh active period: reset the virtual clock so targets
                 // stay small and float precision stays uniform per period.
@@ -312,10 +401,10 @@ impl<T> FlowNet<T> {
         if was_idle {
             f.active_since = now;
             f.period_bytes = bytes;
-            self.activate(flow.0);
+            self.activate(flow);
             if let Some(tr) = &self.tracer {
                 tr.borrow_mut()
-                    .emit(now, memres_trace::TraceEvent::FlowStart { flow: flow.0 });
+                    .emit(now, memres_trace::TraceEvent::FlowStart { flow: flow.id });
             }
         } else {
             f.period_bytes += bytes;
@@ -326,15 +415,24 @@ impl<T> FlowNet<T> {
     /// Drop a flow and any undelivered chunks (returns their tags).
     pub fn close_flow(&mut self, now: SimTime, flow: FlowId) -> Vec<T> {
         self.advance(now);
-        let Some(f) = self.flows.remove(&flow.0) else {
+        let Some(f) = Self::live(&self.flows, flow) else {
             return Vec::new();
         };
         if !f.queue.is_empty() {
-            Self::deactivate_indexed(&mut self.active, &mut self.flows_on_link, flow.0, &f.links);
+            Self::deactivate_indexed(
+                &mut self.active,
+                &mut self.flows_on_link,
+                &self.flows,
+                flow,
+                &f.links,
+            );
             self.dirty = true;
         }
+        self.free.push(flow.slot);
         self.gen.bump();
-        f.queue.into_iter().map(|c| c.tag).collect()
+        self.flows[flow.slot as usize]
+            .take()
+            .map_or_else(Vec::new, |f| f.queue.into_iter().map(|c| c.tag).collect())
     }
 
     pub fn active_flows(&self) -> usize {
@@ -350,20 +448,25 @@ impl<T> FlowNet<T> {
     fn advance(&mut self, now: SimTime) {
         debug_assert!(now >= self.last, "FlowNet clock went backwards");
         let dt = now.since(self.last).as_secs_f64();
+        if now != self.last {
+            // `next_event` answers relative to `last`.
+            self.next_memo = None;
+        }
         self.last = now;
         if dt <= 0.0 {
             return;
         }
+        self.advance_calls += 1;
         self.settle();
         let mut emptied = std::mem::take(&mut self.scratch_emptied);
         emptied.clear();
-        for i in 0..self.active.len() {
-            let id = self.active[i];
-            // lint:allow(panic): `active` ids are inserted/removed in lockstep with `flows`
-            let f = self.flows.get_mut(&id).expect("active flow exists");
+        for &s in &self.active {
+            // lint:allow(panic): `active` holds live slots only (activate/deactivate_indexed)
+            let f = self.flows[s as usize].as_mut().expect("active flow exists");
             if f.rate <= 0.0 {
                 continue;
             }
+            let h = FlowId { id: f.id, slot: s };
             let mut budget = f.rate * dt;
             if f.shared {
                 // Processor sharing in virtual time: `k` members advance in
@@ -382,7 +485,7 @@ impl<T> FlowNet<T> {
                         // lint:allow(panic): front_mut() matched just above.
                         let c = f.queue.pop_front().expect("front() was Some");
                         self.delivered.push(Delivered {
-                            flow: FlowId(id),
+                            flow: h,
                             tag: c.tag,
                         });
                     } else {
@@ -402,7 +505,7 @@ impl<T> FlowNet<T> {
                         // lint:allow(panic): front_mut() matched just above.
                         let c = f.queue.pop_front().unwrap();
                         self.delivered.push(Delivered {
-                            flow: FlowId(id),
+                            flow: h,
                             tag: c.tag,
                         });
                     } else {
@@ -412,18 +515,21 @@ impl<T> FlowNet<T> {
                 }
             }
             if f.queue.is_empty() {
-                emptied.push(id);
+                emptied.push(s);
             }
         }
-        for &id in &emptied {
-            // lint:allow(panic): `emptied` collected from `flows` this call.
-            let f = self.flows.get_mut(&id).expect("emptied flow exists");
+        for &s in &emptied {
+            // lint:allow(panic): `emptied` collected from live active flows this call
+            let f = self.flows[s as usize]
+                .as_mut()
+                .expect("emptied flow exists");
             f.rate = 0.0;
+            let h = FlowId { id: f.id, slot: s };
             if let Some(tr) = &self.tracer {
                 tr.borrow_mut().emit(
                     self.last,
                     memres_trace::TraceEvent::FlowEnd {
-                        flow: id,
+                        flow: h.id,
                         bytes: Bytes(f.period_bytes),
                         dur: self.last.since(f.active_since),
                     },
@@ -431,12 +537,19 @@ impl<T> FlowNet<T> {
             }
             let auto_close = f.auto_close;
             let links = std::mem::take(&mut f.links);
-            Self::deactivate_indexed(&mut self.active, &mut self.flows_on_link, id, &links);
+            Self::deactivate_indexed(
+                &mut self.active,
+                &mut self.flows_on_link,
+                &self.flows,
+                h,
+                &links,
+            );
+            let slot = &mut self.flows[s as usize];
             if auto_close {
-                self.flows.remove(&id);
-            } else {
-                // lint:allow(panic): same entry the take() above came from.
-                self.flows.get_mut(&id).unwrap().links = links;
+                *slot = None;
+                self.free.push(s);
+            } else if let Some(f) = slot {
+                f.links = links;
             }
         }
         if !emptied.is_empty() {
@@ -449,6 +562,7 @@ impl<T> FlowNet<T> {
     /// set, driven by the per-link index and reusing scratch buffers.
     fn do_recompute(&mut self) {
         self.recomputes += 1;
+        self.next_memo = None;
         let nl = self.links.len();
         self.scratch_remaining.clear();
         self.scratch_remaining
@@ -458,10 +572,12 @@ impl<T> FlowNet<T> {
             .extend(self.flows_on_link.iter().map(|v| v.len() as u32));
         // Sentinel: unfrozen active flows carry a negative rate until the
         // water-filling pass freezes them.
-        for i in 0..self.active.len() {
-            let id = self.active[i];
-            // lint:allow(panic): `active` ids mirror `flows` membership.
-            self.flows.get_mut(&id).expect("active flow exists").rate = -1.0;
+        for &s in &self.active {
+            // lint:allow(panic): `active` holds live slots only.
+            self.flows[s as usize]
+                .as_mut()
+                .expect("active flow exists")
+                .rate = -1.0;
         }
         // Each iteration saturates at least one link, so <= nl iterations;
         // each link's flow list is scanned at most once as a bottleneck.
@@ -483,10 +599,11 @@ impl<T> FlowNet<T> {
             };
             // Freeze every unfrozen flow crossing the bottleneck at `share`
             // (ascending flow id, like the pre-index implementation).
-            for idx in 0..self.flows_on_link[bottleneck].len() {
-                let id = self.flows_on_link[bottleneck][idx];
-                // lint:allow(panic): flows_on_link mirrors `flows` via activate/deactivate_indexed
-                let f = self.flows.get_mut(&id).expect("indexed flow exists");
+            for &s in &self.flows_on_link[bottleneck] {
+                // lint:allow(panic): flows_on_link mirrors `active` via activate/deactivate_indexed
+                let f = self.flows[s as usize]
+                    .as_mut()
+                    .expect("indexed flow exists");
                 if f.rate >= 0.0 {
                     continue;
                 }
@@ -500,13 +617,21 @@ impl<T> FlowNet<T> {
         }
     }
 
-    /// Instant of the next chunk completion, or `None` when idle. Scans only
-    /// active flows (idle persistent flows cost nothing).
+    /// Instant of the next chunk completion, or `None` when idle. Scans the
+    /// active flows (idle persistent flows cost nothing), and only when the
+    /// memo of the previous answer has been invalidated.
     pub fn next_event(&mut self) -> Option<SimTime> {
         self.settle();
+        self.next_event_calls += 1;
+        if let Some(at) = self.next_memo {
+            return at;
+        }
+        self.next_event_misses += 1;
+        self.next_event_scans += self.active.len() as u64;
         let mut best: Option<f64> = None;
-        for &id in &self.active {
-            let f = &self.flows[&id];
+        for &s in &self.active {
+            // lint:allow(panic): `active` holds live slots only.
+            let f = self.flows[s as usize].as_ref().expect("active flow exists");
             if f.rate <= 0.0 {
                 continue;
             }
@@ -521,14 +646,16 @@ impl<T> FlowNet<T> {
                 }
             }
         }
-        best.map(|dt| {
+        let at = best.map(|dt| {
             let ns = dt * NANOS_PER_SEC as f64;
             if ns >= (u64::MAX - self.last.as_nanos()) as f64 {
                 SimTime::FAR_FUTURE
             } else {
                 SimTime::from_nanos(self.last.as_nanos() + ns.ceil() as u64)
             }
-        })
+        });
+        self.next_memo = Some(at);
+        at
     }
 
     /// Advance to `now` and take the deliveries that are due.
@@ -543,7 +670,7 @@ impl<T> FlowNet<T> {
     /// Current rate of a flow in bytes/sec (0 while idle). Test hook.
     pub fn flow_rate(&mut self, flow: FlowId) -> Option<f64> {
         self.settle();
-        self.flows.get(&flow.0).map(|f| f.rate)
+        Self::live(&self.flows, flow).map(|f| f.rate)
     }
 
     /// Aggregate allocated rate crossing `link` right now, bytes/sec — the
@@ -554,9 +681,10 @@ impl<T> FlowNet<T> {
         self.settle();
         self.flows_on_link
             .get(link.0 as usize)
-            .map(|ids| {
-                ids.iter()
-                    .filter_map(|id| self.flows.get(id))
+            .map(|slots| {
+                slots
+                    .iter()
+                    .filter_map(|&s| self.flows[s as usize].as_ref())
                     .map(|f| f.rate)
                     .sum()
             })
@@ -574,12 +702,16 @@ impl<T> FlowNet<T> {
         let caps: Vec<f64> = self.links.iter().map(|l| l.capacity).collect();
         let mut remaining = caps.clone();
         let mut count = vec![0u32; caps.len()];
-        for &id in &self.active {
-            for l in &self.flows[&id].links {
+        let mut want: Vec<(&Flow<T>, f64)> = Vec::with_capacity(self.active.len());
+        for &s in &self.active {
+            let f = self.flows[s as usize]
+                .as_ref()
+                .ok_or_else(|| format!("active slot {s} is vacant"))?;
+            for l in &f.links {
                 count[l.0 as usize] += 1;
             }
+            want.push((f, -1.0));
         }
-        let mut want: BTreeMap<u64, f64> = self.active.iter().map(|&id| (id, -1.0)).collect();
         loop {
             let mut best: Option<(usize, f64)> = None;
             for i in 0..caps.len() {
@@ -594,30 +726,77 @@ impl<T> FlowNet<T> {
             let Some((bottleneck, share)) = best else {
                 break;
             };
-            for (&id, rate) in want.iter_mut() {
-                let path = &self.flows[&id].links;
-                if *rate >= 0.0 || !path.iter().any(|l| l.0 as usize == bottleneck) {
+            for (f, rate) in want.iter_mut() {
+                if *rate >= 0.0 || !f.links.iter().any(|l| l.0 as usize == bottleneck) {
                     continue;
                 }
                 *rate = share;
-                for l in path {
+                for l in &f.links {
                     remaining[l.0 as usize] -= share;
                     count[l.0 as usize] -= 1;
                 }
             }
         }
-        for (&id, &w) in &want {
-            let got = self.flows[&id].rate;
-            if (got - w).abs() > 1e-9 * w.max(1.0) {
+        for &(f, w) in &want {
+            if (f.rate - w).abs() > 1e-9 * w.max(1.0) {
                 return Err(format!(
-                    "waterfill mismatch: flow {id} incremental rate {got} \
+                    "waterfill mismatch: flow {} incremental rate {} \
                      vs from-scratch {w} ({} active flows, {} links)",
+                    f.id,
+                    f.rate,
                     self.active.len(),
                     caps.len()
                 ));
             }
         }
         Ok(())
+    }
+
+    /// Differential audit of the `next_event` memo: while an answer is
+    /// cached, recompute the next completion from scratch — every live flow
+    /// in the slab, not the active index, each head converted to an instant
+    /// on its own, then the earliest — and require exact equality. A stale
+    /// memo, a missed invalidation, or a flow with queued bytes missing from
+    /// the active index all show up as a mismatch. Nothing cached means
+    /// nothing to check (fuzz oracle 1; DESIGN.md §4.3, §4.13).
+    pub fn audit_next_event(&mut self) -> Result<(), String> {
+        self.settle();
+        let Some(cached) = self.next_memo else {
+            return Ok(());
+        };
+        let base = self.last.as_nanos();
+        let mut want: Option<SimTime> = None;
+        for f in self.flows.iter().flatten() {
+            let Some(head) = f.queue.front() else {
+                continue;
+            };
+            if f.rate <= 0.0 {
+                continue;
+            }
+            let bytes_left = if f.shared {
+                (head.remaining - f.ps_drained).max(0.0) * f.queue.len() as f64
+            } else {
+                head.remaining
+            };
+            let ns = bytes_left / f.rate * NANOS_PER_SEC as f64;
+            let at = if ns >= (u64::MAX - base) as f64 {
+                SimTime::FAR_FUTURE
+            } else {
+                SimTime::from_nanos(base + ns.ceil() as u64)
+            };
+            want = Some(want.map_or(at, |w| w.min(at)));
+        }
+        if cached == want {
+            Ok(())
+        } else {
+            Err(format!(
+                "next_event memo mismatch: cached {:?} ns vs from-scratch {:?} ns \
+                 ({} active flows, clock {base} ns)",
+                cached.map(SimTime::as_nanos),
+                want.map(SimTime::as_nanos),
+                self.active.len()
+            ))
+        }
     }
 }
 
@@ -771,6 +950,61 @@ mod tests {
         net.push_chunk(SimTime::ZERO, f, Bytes(50.0), 2);
         assert_eq!(net.flow_rate(f), Some(100.0));
         assert_eq!(net.recomputes, before, "no-op mutation must not recompute");
+    }
+
+    #[test]
+    fn repeated_next_event_is_answered_from_the_memo() {
+        let mut net: FlowNet<u32> = FlowNet::new();
+        let l = net.add_link(100.0);
+        let fifo = net.open_flow(SimTime::ZERO, vec![l], false);
+        let shared = net.open_shared_flow(SimTime::ZERO, vec![l], false);
+        net.push_chunk(SimTime::ZERO, fifo, Bytes(50.0), 1); // 50 B/s: done at 1.0 s
+        net.push_chunk(SimTime::ZERO, shared, Bytes(80.0), 2); // done at 1.6 s
+        let first = net.next_event();
+        assert_eq!(first, Some(SimTime::from_secs_f64(1.0)));
+        let scans = net.next_event_scans;
+        assert_eq!(scans, 2);
+        // No mutation in between: the memo answers and visits no flow.
+        assert_eq!(net.next_event(), first);
+        assert_eq!(net.next_event_scans, scans);
+        // Queueing behind an active FIFO flow leaves every head alone.
+        net.push_chunk(SimTime::ZERO, fifo, Bytes(10.0), 3);
+        assert_eq!(net.next_event(), first);
+        assert_eq!(net.next_event_scans, scans);
+        assert_eq!(net.audit_next_event(), Ok(()));
+        // A 1-byte member joins the shared flow: with k = 2 it needs 2 bytes
+        // at 50 B/s, so the next completion moves up to 0.04 s.
+        net.push_chunk(SimTime::ZERO, shared, Bytes(1.0), 4);
+        assert_eq!(net.next_event(), Some(SimTime::from_secs_f64(0.04)));
+        assert_eq!(net.next_event_scans, scans + 2);
+        assert_eq!(
+            (
+                net.next_event_calls,
+                net.next_event_misses,
+                net.shared_pushes
+            ),
+            (4, 2, 2)
+        );
+        assert_eq!(net.audit_next_event(), Ok(()));
+    }
+
+    #[test]
+    fn slab_reuses_vacated_slots_and_rejects_stale_handles() {
+        let mut net: FlowNet<u32> = FlowNet::new();
+        let l = net.add_link(100.0);
+        let a = net.open_flow(SimTime::ZERO, vec![l], true);
+        net.push_chunk(SimTime::ZERO, a, Bytes(10.0), 1);
+        assert_eq!(drain(&mut net).len(), 1); // `a` auto-closes
+        let t = SimTime::from_secs_f64(1.0);
+        let b = net.open_flow(t, vec![l], false);
+        assert_eq!(b.id(), a.id() + 1, "ids are never reused");
+        assert_eq!(net.flows.len(), 1, "the drained flow's slot is reused");
+        // The stale handle does not reach the slot's new tenant.
+        assert_eq!(net.flow_rate(a), None);
+        net.push_chunk(t, b, Bytes(10.0), 2);
+        assert!(net.close_flow(t, a).is_empty());
+        assert_eq!(net.close_flow(t, b), vec![2]);
+        assert_eq!(net.free, vec![0]);
     }
 
     #[test]
@@ -949,24 +1183,36 @@ mod proptests {
     ) {
         let (kind, a, b, bytes, dt) = op;
         let now = SimTime::from_secs_f64(*now_secs);
-        match kind % 4 {
+        match kind % 5 {
             // Arrival: open an auto-close flow over 1-2 links, queue a chunk.
             0 => {
                 let mut path = vec![a.index(links.len()), b.index(links.len())];
                 path.sort_unstable();
                 path.dedup();
                 let f = net.open_flow(now, path.iter().map(|&i| links[i]).collect(), true);
-                net.push_chunk(now, f, Bytes(*bytes), f.0 as u32);
+                net.push_chunk(now, f, Bytes(*bytes), f.id() as u32);
                 shadow.push((f, path, 1));
             }
-            // Extra chunk behind a random active flow (active set unchanged).
+            // Extra chunk on a random active flow: queued behind a FIFO
+            // flow (active set unchanged), or a new member of a shared one.
             1 => {
                 if !shadow.is_empty() {
                     let i = a.index(shadow.len());
                     let e = &mut shadow[i];
-                    net.push_chunk(now, e.0, Bytes(*bytes), e.0 .0 as u32);
+                    net.push_chunk(now, e.0, Bytes(*bytes), e.0.id() as u32);
                     e.2 += 1;
                 }
+            }
+            // Arrival of a shared (processor-sharing) auto-close flow with
+            // two members.
+            4 => {
+                let mut path = vec![a.index(links.len()), b.index(links.len())];
+                path.sort_unstable();
+                path.dedup();
+                let f = net.open_shared_flow(now, path.iter().map(|&i| links[i]).collect(), true);
+                net.push_chunk(now, f, Bytes(*bytes), f.id() as u32);
+                net.push_chunk(now, f, Bytes(*bytes * 0.5), f.id() as u32);
+                shadow.push((f, path, 2));
             }
             // Departure: close a random active flow.
             2 => {
@@ -976,7 +1222,7 @@ mod proptests {
                 }
             }
             // Advance time, harvesting deliveries; or resize a link.
-            _ => {
+            3 => {
                 if *bytes < 50.0 {
                     *now_secs += dt;
                     let t = SimTime::from_secs_f64(*now_secs);
@@ -996,6 +1242,7 @@ mod proptests {
                     net.set_link_capacity(now, links[li], caps[li]);
                 }
             }
+            _ => unreachable!("op kind is reduced mod 5"),
         }
     }
 
@@ -1028,6 +1275,32 @@ mod proptests {
                         "rate mismatch after event: got {got}, scratch waterfill {w}"
                     );
                 }
+            }
+        }
+
+        /// After every event of a random sequence that includes shared-flow
+        /// arrivals and pushes, a `next_event` answer still cached from
+        /// before the event equals a from-scratch min over active heads,
+        /// and so does a freshly computed one.
+        #[test]
+        fn next_event_memo_matches_scratch_min(
+            caps0 in proptest::collection::vec(1.0f64..100.0, 1..5),
+            ops in proptest::collection::vec(
+                (0u8..5, any::<proptest::sample::Index>(), any::<proptest::sample::Index>(),
+                 1.0f64..100.0, 0.001f64..0.05),
+                1..40,
+            ),
+        ) {
+            let mut net: FlowNet<u32> = FlowNet::new();
+            let mut caps = caps0.clone();
+            let links: Vec<LinkId> = caps.iter().map(|&c| net.add_link(c)).collect();
+            let mut shadow: Shadow = Vec::new();
+            let mut now = 0.0f64;
+            for op in &ops {
+                apply_op(&mut net, &mut caps, &mut shadow, &links, op, &mut now);
+                prop_assert_eq!(net.audit_next_event(), Ok(()), "memo kept across {:?}", op);
+                let _ = net.next_event();
+                prop_assert_eq!(net.audit_next_event(), Ok(()), "fresh answer after {:?}", op);
             }
         }
 

@@ -271,7 +271,12 @@ impl LocalFs {
         let hit = match &mut self.cache {
             Some(cache) => {
                 let h = cache.resident_of(file).min(bytes);
-                cache.touch(file);
+                // Only files the cache holds go on its LRU list: a file that
+                // went write-through has no entry, and eviction needs one
+                // for every file it walks.
+                if cache.files.contains_key(&file) {
+                    cache.touch(file);
+                }
                 h
             }
             None => 0.0,
@@ -539,6 +544,33 @@ mod tests {
             "read took {}",
             t3.since(t2)
         );
+    }
+
+    #[test]
+    fn read_back_past_a_saturated_cache_then_evict() {
+        // File 1 fills the cache with dirty bytes, so file 2 goes write-
+        // through and gets no cache entry. Reading file 2 back must not put
+        // it on the LRU list: the eviction file 3 forces walks that list
+        // past the unevictable dirty file 1.
+        let mut fs = ssd_fs(Some(small_cache()));
+        fs.write(SimTime::ZERO, FileId(1), Bytes(100.0), 1);
+        fs.write(SimTime::ZERO, FileId(2), Bytes(100.0), 2);
+        fs.read(SimTime::ZERO, FileId(2), Bytes(100.0), 3);
+        fs.write(SimTime::ZERO, FileId(3), Bytes(10.0), 4);
+        let mut done = Vec::new();
+        while let Some(t) = fs.next_event() {
+            done.extend(fs.poll(t).iter().map(|d| d.tag));
+        }
+        done.sort_unstable();
+        assert_eq!(done, vec![1, 2, 3, 4]);
+        assert_eq!(fs.dirty_bytes(), 0.0);
+        assert_eq!(fs.cached_bytes(FileId(2)), 0.0);
+        // File 1 is clean now: a second eviction takes its bytes.
+        fs.read(SimTime::from_secs_f64(100.0), FileId(3), Bytes(10.0), 5);
+        fs.write(SimTime::from_secs_f64(100.0), FileId(4), Bytes(60.0), 6);
+        run_until_tag(&mut fs, 6);
+        assert!((fs.cached_bytes(FileId(1)) - 40.0).abs() < 1e-9);
+        assert_eq!(fs.cached_bytes(FileId(4)), 60.0);
     }
 
     #[test]
