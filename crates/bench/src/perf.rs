@@ -26,15 +26,17 @@ pub struct PerfRecord {
     pub events: u64,
     /// Rough peak-heap estimate (arena capacities; see `heap_estimate_bytes`).
     pub heap_bytes: u64,
-    /// Flow-network work counters: exact, so they gate host-time work
-    /// without timing noise.
+    /// Flow-network and dispatch work counters: exact, so they gate
+    /// host-time work without timing noise.
     pub net: NetWork,
+    pub core: CoreWork,
 }
 
 /// Deterministic work counters of one run's `FlowNet` (DESIGN.md §4.3).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NetWork {
     pub recomputes: u64,
+    pub waterfill_iters: u64,
     pub next_event_calls: u64,
     pub next_event_misses: u64,
     pub next_event_scans: u64,
@@ -46,6 +48,7 @@ impl NetWork {
     pub fn of<T>(net: &memres_net::FlowNet<T>) -> Self {
         NetWork {
             recomputes: net.recomputes,
+            waterfill_iters: net.waterfill_iters,
             next_event_calls: net.next_event_calls,
             next_event_misses: net.next_event_misses,
             next_event_scans: net.next_event_scans,
@@ -55,7 +58,48 @@ impl NetWork {
     }
 }
 
+/// Deterministic dispatch work counters of one run (DESIGN.md §4.12).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CoreWork {
+    pub dispatch_calls: u64,
+    pub dispatch_passes: u64,
+    pub pick_calls: u64,
+    pub launches: u64,
+}
+
+impl CoreWork {
+    pub fn of(w: &memres_core::SimWorld) -> Self {
+        CoreWork {
+            dispatch_calls: w.dispatch_calls,
+            dispatch_passes: w.dispatch_passes,
+            pick_calls: w.pick_calls,
+            launches: w.launches,
+        }
+    }
+
+    /// The flat JSON fields both `repro bench` and `repro scale` write.
+    pub fn json_fields(&self) -> String {
+        format!(
+            "\"dispatch_calls\": {}, \"dispatch_passes\": {}, \"pick_calls\": {}, \"launches\": {}",
+            self.dispatch_calls, self.dispatch_passes, self.pick_calls, self.launches
+        )
+    }
+}
+
 impl PerfRecord {
+    /// Snapshot a finished driver's counters into a record.
+    pub fn of_driver(name: &'static str, wall_s: f64, sim_s: f64, d: &Driver) -> Self {
+        PerfRecord {
+            name,
+            wall_s,
+            sim_s,
+            events: d.engine_steps(),
+            heap_bytes: d.heap_estimate_bytes(),
+            net: NetWork::of(&d.world().net),
+            core: CoreWork::of(d.world()),
+        }
+    }
+
     /// Engine throughput: simulation events per host wall-clock second.
     pub fn events_per_sec(&self) -> f64 {
         if self.wall_s > 0.0 {
@@ -118,14 +162,7 @@ fn time_run(
     let t0 = Instant::now();
     let mut d = Driver::new(spec, cfg);
     let m = d.run_for_metrics(&gb.build(), gb.action());
-    PerfRecord {
-        name,
-        wall_s: t0.elapsed().as_secs_f64(),
-        sim_s: m.job_time(),
-        events: d.engine_steps(),
-        heap_bytes: d.heap_estimate_bytes(),
-        net: NetWork::of(&d.world().net),
-    }
+    PerfRecord::of_driver(name, t0.elapsed().as_secs_f64(), m.job_time(), &d)
 }
 
 /// The mid-size Fig 7a / Fig 8a cells (400 GB and 600 GB paper-scale,
@@ -177,7 +214,8 @@ pub fn table(records: &[PerfRecord]) -> Table {
 }
 
 /// Machine-readable record: `{"target", "scale", "seed", "runs": [...],
-/// "total_wall_s"}`; each run carries its [`NetWork`] counters flat.
+/// "total_wall_s"}`; each run carries its [`NetWork`] and [`CoreWork`]
+/// counters flat.
 pub fn to_json(setup: Setup, records: &[PerfRecord]) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"target\": \"bench\",");
@@ -191,8 +229,8 @@ pub fn to_json(setup: Setup, records: &[PerfRecord]) -> String {
         let _ = write!(
             out,
             "\n    {{\"name\": \"{}\", \"wall_s\": {}, \"sim_job_s\": {}, \"events\": {}, \"events_per_s\": {}, \"heap_bytes\": {}, \
-             \"recomputes\": {}, \"next_event_calls\": {}, \"next_event_misses\": {}, \"next_event_scans\": {}, \
-             \"advance_calls\": {}, \"shared_pushes\": {}}}",
+             \"recomputes\": {}, \"waterfill_iters\": {}, \"next_event_calls\": {}, \"next_event_misses\": {}, \
+             \"next_event_scans\": {}, \"advance_calls\": {}, \"shared_pushes\": {}, {}}}",
             escape(r.name),
             num(r.wall_s),
             num(r.sim_s),
@@ -200,11 +238,13 @@ pub fn to_json(setup: Setup, records: &[PerfRecord]) -> String {
             num(r.events_per_sec()),
             r.heap_bytes,
             r.net.recomputes,
+            r.net.waterfill_iters,
             r.net.next_event_calls,
             r.net.next_event_misses,
             r.net.next_event_scans,
             r.net.advance_calls,
             r.net.shared_pushes,
+            r.core.json_fields(),
         );
     }
     if !records.is_empty() {
@@ -231,11 +271,18 @@ mod tests {
                 heap_bytes: 2 * 1024 * 1024,
                 net: NetWork {
                     recomputes: 3,
+                    waterfill_iters: 5,
                     next_event_calls: 9,
                     next_event_misses: 4,
                     next_event_scans: 40,
                     advance_calls: 1,
                     shared_pushes: 0,
+                },
+                core: CoreWork {
+                    dispatch_calls: 7,
+                    dispatch_passes: 15,
+                    pick_calls: 12,
+                    launches: 11,
                 },
             },
             PerfRecord {
@@ -245,6 +292,7 @@ mod tests {
                 events: 3000,
                 heap_bytes: 1024,
                 net: NetWork::default(),
+                core: CoreWork::default(),
             },
         ];
         let j = to_json(
@@ -257,8 +305,9 @@ mod tests {
         assert!(j.contains("\"total_wall_s\": 1.0"));
         assert!(j.contains(
             "{\"name\": \"a\", \"wall_s\": 0.25, \"sim_job_s\": 100.0, \"events\": 1000, \"events_per_s\": 4000.0, \"heap_bytes\": 2097152, \
-             \"recomputes\": 3, \"next_event_calls\": 9, \"next_event_misses\": 4, \"next_event_scans\": 40, \
-             \"advance_calls\": 1, \"shared_pushes\": 0}"
+             \"recomputes\": 3, \"waterfill_iters\": 5, \"next_event_calls\": 9, \"next_event_misses\": 4, \
+             \"next_event_scans\": 40, \"advance_calls\": 1, \"shared_pushes\": 0, \
+             \"dispatch_calls\": 7, \"dispatch_passes\": 15, \"pick_calls\": 12, \"launches\": 11}"
         ));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         let t = table(&recs);
@@ -278,6 +327,7 @@ mod tests {
             events: 12345,
             heap_bytes: 0,
             net: NetWork::default(),
+            core: CoreWork::default(),
         };
         assert_eq!(r.events_per_sec(), 0.0);
         assert!(r.events_per_sec().is_finite());

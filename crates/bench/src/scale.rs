@@ -18,7 +18,7 @@
 //! exists; the larger baselines would run for hours.
 
 use crate::json::{escape, num};
-use crate::perf::{NetWork, PerfRecord};
+use crate::perf::PerfRecord;
 use crate::Table;
 use memres_core::prelude::*;
 use memres_des::units::MB;
@@ -128,14 +128,7 @@ pub fn run(c: ScaleCell, seed: u64, baseline: bool) -> PerfRecord {
     let t0 = Instant::now();
     let mut d = Driver::new(spec, config(seed, baseline));
     let m = d.run_for_metrics(&gb.build(), gb.action());
-    PerfRecord {
-        name: c.name,
-        wall_s: t0.elapsed().as_secs_f64(),
-        sim_s: m.job_time(),
-        events: d.engine_steps(),
-        heap_bytes: d.heap_estimate_bytes(),
-        net: NetWork::of(&d.world().net),
-    }
+    PerfRecord::of_driver(c.name, t0.elapsed().as_secs_f64(), m.job_time(), &d)
 }
 
 /// The cells a given invocation runs: the smoke cell alone under
@@ -173,7 +166,8 @@ pub fn table(records: &[PerfRecord], baseline: bool) -> Table {
     t
 }
 
-/// Machine-readable record, the shape checked into BENCH_6.json.
+/// Machine-readable record, the shape checked into BENCH_6.json plus each
+/// run's [`crate::perf::CoreWork`] counters flat.
 pub fn to_json(seed: u64, baseline: bool, records: &[PerfRecord]) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"target\": \"scale\",");
@@ -186,13 +180,14 @@ pub fn to_json(seed: u64, baseline: bool, records: &[PerfRecord]) -> String {
         }
         let _ = write!(
             out,
-            "\n    {{\"name\": \"{}\", \"wall_s\": {}, \"sim_job_s\": {}, \"events\": {}, \"events_per_s\": {}, \"heap_bytes\": {}}}",
+            "\n    {{\"name\": \"{}\", \"wall_s\": {}, \"sim_job_s\": {}, \"events\": {}, \"events_per_s\": {}, \"heap_bytes\": {}, {}}}",
             escape(r.name),
             num(r.wall_s),
             num(r.sim_s),
             r.events,
             num(r.events_per_sec()),
-            r.heap_bytes
+            r.heap_bytes,
+            r.core.json_fields(),
         );
     }
     if !records.is_empty() {
@@ -207,6 +202,7 @@ pub fn to_json(seed: u64, baseline: bool, records: &[PerfRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::perf::{CoreWork, NetWork};
 
     #[test]
     fn cells_resolve_and_fit_node_memory() {
@@ -247,6 +243,32 @@ mod tests {
         assert!(r.heap_bytes > 0);
     }
 
+    /// Dispatch cost is proportional to launches: once the map stage is
+    /// done, the store phase's pinned flushes are the only work left, and
+    /// a dispatch visits only the nodes that still hold some. Walking every
+    /// node with a free slot instead (the pre-index dispatch) costs ~1.6
+    /// `pick` calls per launch on this cell.
+    #[test]
+    fn pick_calls_track_launches() {
+        let c = ScaleCell {
+            name: "scale_pick_teeth",
+            workers: 32,
+            reducers: 128,
+            split_mb: 32.0,
+            producers: 8_000,
+        };
+        let r = run(c, 1, false);
+        assert_eq!(r.events, 43_965, "event count must not move");
+        // One launch per producer, per producer's store flush, per reducer.
+        assert_eq!(r.core.launches, 2 * c.producers + c.reducers as u64);
+        assert!(
+            r.core.pick_calls as f64 <= 1.01 * r.core.launches as f64,
+            "{} pick calls for {} launches",
+            r.core.pick_calls,
+            r.core.launches
+        );
+    }
+
     #[test]
     fn json_shape() {
         let r = PerfRecord {
@@ -256,11 +278,20 @@ mod tests {
             events: 5000,
             heap_bytes: 1024,
             net: NetWork::default(),
+            core: CoreWork {
+                dispatch_calls: 4,
+                dispatch_passes: 9,
+                pick_calls: 6,
+                launches: 5,
+            },
         };
         let j = to_json(1, false, &[r]);
         assert!(j.contains("\"target\": \"scale\""));
         assert!(j.contains("\"baseline\": false"));
         assert!(j.contains("\"events_per_s\": 10000.0"));
+        assert!(j.contains(
+            "\"heap_bytes\": 1024, \"dispatch_calls\": 4, \"dispatch_passes\": 9, \"pick_calls\": 6, \"launches\": 5}"
+        ));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
     }
 }

@@ -575,6 +575,79 @@ pub struct JobOutput {
     pub aborted: bool,
 }
 
+/// Which nodes a dispatch pass can launch on (DESIGN.md §4.12).
+///
+/// Invariant, between any two mutations: `pref_jobs[n]` is the number of
+/// resident jobs whose `prefs_q[n]` is non-empty (stale entries count until
+/// `pick` pops them), and `ready == avail ∩ {n : pref_jobs[n] > 0}`. Every
+/// push onto a `prefs_q`, every pop that empties one, every job departure,
+/// and every change to a node's slots, liveness or blacklist status goes
+/// through the methods below; `SimWorld::audit_invariants` rebuilds all
+/// three from scratch.
+struct NodeIndex {
+    /// Nodes currently able to accept a launch (up, not blacklisted, at
+    /// least one free slot). `dispatch` walks this set instead of scanning
+    /// every worker — the win that makes 10k-node cells tractable. A
+    /// `BTreeSet` keeps rotation order deterministic.
+    avail: BTreeSet<u32>,
+    pref_jobs: Vec<u32>,
+    /// Available nodes with locality-preferred (or pinned) work queued.
+    /// When no job has preference-free or stealable work, these are the
+    /// only nodes `pick` can return a task for.
+    ready: BTreeSet<u32>,
+}
+
+impl NodeIndex {
+    fn new(workers: usize) -> Self {
+        NodeIndex {
+            avail: (0..workers as u32).collect(),
+            pref_jobs: vec![0; workers],
+            ready: BTreeSet::new(),
+        }
+    }
+
+    fn set_avail(&mut self, node: u32, available: bool) {
+        if available {
+            if self.avail.insert(node) && self.pref_jobs[node as usize] > 0 {
+                self.ready.insert(node);
+            }
+        } else if self.avail.remove(&node) {
+            self.ready.remove(&node);
+        }
+    }
+
+    /// Queue `id` on one job's preference queue `q` for `node`.
+    fn push(&mut self, q: &mut VecDeque<u32>, node: u32, id: u32) {
+        if q.is_empty() {
+            let c = &mut self.pref_jobs[node as usize];
+            *c += 1;
+            if *c == 1 && self.avail.contains(&node) {
+                self.ready.insert(node);
+            }
+        }
+        q.push_back(id);
+    }
+
+    /// One job's `prefs_q[node]` went from non-empty to empty (or the job
+    /// holding it departed).
+    fn drained(&mut self, node: u32) {
+        let c = &mut self.pref_jobs[node as usize];
+        *c -= 1;
+        if *c == 0 {
+            self.ready.remove(&node);
+        }
+    }
+
+    /// A departing job's non-empty preference queues leave the index.
+    fn remove_job(&mut self, job: &JobRun) {
+        for (n, q) in job.prefs_q.iter().enumerate() {
+            if !q.is_empty() {
+                self.drained(n as u32);
+            }
+        }
+    }
+}
+
 pub struct SimWorld {
     pub spec: ClusterSpec,
     pub cfg: EngineConfig,
@@ -603,12 +676,19 @@ pub struct SimWorld {
 
     // Scheduling state.
     free_slots: Vec<u32>,
-    /// Nodes currently able to accept a launch (up, not blacklisted, at
-    /// least one free slot). Kept in sync by `note_slot_change`; `dispatch`
-    /// walks this set instead of scanning every worker — the win that makes
-    /// 10k-node cells tractable. A `BTreeSet` keeps rotation order
-    /// deterministic.
-    avail: BTreeSet<u32>,
+    /// Available and ready nodes; slot changes reach it through
+    /// `note_slot_change`.
+    index: NodeIndex,
+    /// Dispatch scratch buffers (inter-job order, node snapshot), reused
+    /// so a dispatch event allocates nothing.
+    dispatch_order: Vec<usize>,
+    dispatch_cands: Vec<u32>,
+    /// Deterministic dispatch work counters (exposed for perf assertions
+    /// and `repro bench --json`): `dispatch` calls past the fast exit,
+    /// passes over the node snapshot, and `pick` calls.
+    pub dispatch_calls: u64,
+    pub dispatch_passes: u64,
+    pub pick_calls: u64,
     /// Per-node "blocked this pass" stamp; a node is blocked when its entry
     /// equals `dispatch_round`. Replaces a fresh `vec![false; workers]`
     /// allocation per dispatch phase.
@@ -646,7 +726,7 @@ pub struct SimWorld {
     /// Task-attributed failures per node (drives blacklisting).
     node_fail_counts: Vec<u32>,
     /// Global task-launch counter (the `TaskFail { nth_launch }` clock).
-    launch_count: u64,
+    pub launches: u64,
     /// Sorted launch ordinals doomed to fail (from the fault plan).
     doomed_launches: Vec<u64>,
     /// The fault plan is armed once, at the first job submission.
@@ -754,7 +834,12 @@ impl SimWorld {
         let recorder = cfg.metrics.map(Recorder::new);
         let mut w = SimWorld {
             free_slots: vec![spec.cores_per_node; workers],
-            avail: (0..workers as u32).collect(),
+            index: NodeIndex::new(workers),
+            dispatch_order: Vec::new(),
+            dispatch_cands: Vec::new(),
+            dispatch_calls: 0,
+            dispatch_passes: 0,
+            pick_calls: 0,
             blocked_stamp: vec![0; workers],
             dispatch_round: 0,
             rotate: 0,
@@ -773,7 +858,7 @@ impl SimWorld {
             node_up: vec![true; workers],
             blacklisted: vec![false; workers],
             node_fail_counts: vec![0; workers],
-            launch_count: 0,
+            launches: 0,
             doomed_launches: Vec::new(),
             faults_armed: false,
             tracer,
@@ -885,11 +970,54 @@ impl SimWorld {
     /// reimplementations, for the differential-fuzz harness (DESIGN.md
     /// §4.13). Currently: the incremental water-filling allocation vs a
     /// from-scratch progressive-filling pass over the same active flows,
-    /// and the memoized next network completion vs a from-scratch min over
-    /// the flows' heads.
+    /// the memoized next network completion vs a from-scratch min over
+    /// the flows' heads, and the dispatch node index vs one rebuilt from
+    /// the resident jobs' queues and every node's slots and status.
     pub fn audit_invariants(&mut self) -> Result<(), String> {
         self.net.audit_waterfill()?;
-        self.net.audit_next_event()
+        self.net.audit_next_event()?;
+        self.audit_node_index()
+    }
+
+    fn audit_node_index(&self) -> Result<(), String> {
+        let workers = self.spec.workers as usize;
+        let avail: BTreeSet<u32> = (0..workers)
+            .filter(|&n| self.node_up[n] && !self.blacklisted[n] && self.free_slots[n] > 0)
+            .map(|n| n as u32)
+            .collect();
+        let pref_jobs: Vec<u32> = (0..workers)
+            .map(|n| {
+                self.jobs
+                    .iter()
+                    .filter(|j| !j.prefs_q[n].is_empty())
+                    .count() as u32
+            })
+            .collect();
+        let ready: BTreeSet<u32> = avail
+            .iter()
+            .copied()
+            .filter(|&n| pref_jobs[n as usize] > 0)
+            .collect();
+        let idx = &self.index;
+        if idx.avail != avail {
+            return Err(format!(
+                "avail index {:?} != rebuilt {:?}",
+                idx.avail, avail
+            ));
+        }
+        if let Some(n) = (0..workers).find(|&n| idx.pref_jobs[n] != pref_jobs[n]) {
+            return Err(format!(
+                "node {n}: {} jobs indexed with local work, rebuilt {}",
+                idx.pref_jobs[n], pref_jobs[n]
+            ));
+        }
+        if idx.ready != ready {
+            return Err(format!(
+                "ready index {:?} != rebuilt {:?}",
+                idx.ready, ready
+            ));
+        }
+        Ok(())
     }
 
     /// Final CAD dispatch interval (diagnostics).
@@ -1656,14 +1784,15 @@ impl SimWorld {
         for &id in ids {
             let prefs = &tasks.prefs[id as usize];
             if tasks.pinned[id as usize] {
-                job.prefs_q[prefs[0] as usize].push_back(id);
+                let n = prefs[0];
+                self.index.push(&mut job.prefs_q[n as usize], n, id);
                 continue;
             }
             if prefs.is_empty() {
                 job.no_pref_q.push_back(id);
             } else {
                 for &n in prefs {
-                    job.prefs_q[n as usize].push_back(id);
+                    self.index.push(&mut job.prefs_q[n as usize], n, id);
                 }
                 job.waiting_q.push_back(id);
             }
@@ -1706,13 +1835,24 @@ impl SimWorld {
         node: u32,
         allow_steal: bool,
     ) -> Result<Option<u32>, Option<SimTime>> {
+        self.pick_calls += 1;
         let tasks = &self.tasks;
         let job = &mut self.jobs[ji];
-        while let Some(&cand) = job.prefs_q[node as usize].front() {
-            job.prefs_q[node as usize].pop_front();
-            if tasks.state[cand as usize] == TState::Pending {
+        let q = &mut job.prefs_q[node as usize];
+        if !q.is_empty() {
+            let mut local = None;
+            while let Some(cand) = q.pop_front() {
+                if tasks.state[cand as usize] == TState::Pending {
+                    local = Some(cand);
+                    break;
+                }
+            }
+            if q.is_empty() {
+                self.index.drained(node);
+            }
+            if local.is_some() {
                 job.last_local_launch = now;
-                return Ok(Some(cand));
+                return Ok(local);
             }
         }
         while let Some(&cand) = job.no_pref_q.front() {
@@ -1759,28 +1899,26 @@ impl SimWorld {
     /// node.
     fn note_slot_change(&mut self, node: u32) {
         let i = node as usize;
-        if self.node_up[i] && !self.blacklisted[i] && self.free_slots[i] > 0 {
-            self.avail.insert(node);
-        } else {
-            self.avail.remove(&node);
-        }
+        let available = self.node_up[i] && !self.blacklisted[i] && self.free_slots[i] > 0;
+        self.index.set_avail(node, available);
     }
 
     /// Inter-job dispatch order (DESIGN.md §4.14). Single-job runs and the
     /// FIFO policy serve jobs in admission order; fair-share orders by
     /// fewest running tasks; capacity first serves tenants still below
     /// their guaranteed slot count.
-    fn job_order(&self) -> Vec<usize> {
+    fn job_order(&self, order: &mut Vec<usize>) {
         let n = self.jobs.len();
-        let mut order: Vec<usize> = (0..n).collect();
+        order.clear();
+        order.extend(0..n);
         if n <= 1 {
-            return order;
+            return;
         }
         let Some(policy) = self.stream.as_ref().map(|s| s.spec.policy.clone()) else {
-            return order;
+            return;
         };
         match policy {
-            InterJobPolicy::Fifo => order,
+            InterJobPolicy::Fifo => {}
             InterJobPolicy::FairShare | InterJobPolicy::Capacity { .. } => {
                 // Running-task counts per resident job, by arena scan (the
                 // arena only ever holds the resident set's tasks).
@@ -1811,7 +1949,6 @@ impl SimWorld {
                 } else {
                     order.sort_by_key(|&ji| (running[ji], ji));
                 }
-                order
             }
         }
     }
@@ -1826,12 +1963,26 @@ impl SimWorld {
         if self.tasks.pending == 0 && self.cfg.speculation.is_none() {
             return;
         }
+        self.dispatch_calls += 1;
         let workers = self.spec.workers;
         let cad_some = self.cfg.cad.is_some();
         let mut earliest_retry: Option<SimTime> = None;
         // The inter-job policy orders which resident job a free slot serves;
         // within a job, pick() is unchanged.
-        let order = self.job_order();
+        let mut order = std::mem::take(&mut self.dispatch_order);
+        self.job_order(&mut order);
+        // With no preference-free or stealable work anywhere, and no policy
+        // that acts on a node without local work (ELB's decline trace, CAD's
+        // wakes, speculation), a node with empty preference queues would
+        // only be picked to return nothing: walking the ready nodes instead
+        // of the available ones is then a provable no-op.
+        let ready_only = self.cfg.elb.is_none()
+            && !cad_some
+            && self.cfg.speculation.is_none()
+            && order.iter().all(|&ji| {
+                let job = &self.jobs[ji];
+                job.no_pref_q.is_empty() && job.waiting_q.is_empty()
+            });
         // Two-phase rounds: first every node claims its locality-preferred
         // (or preference-free) tasks, one slot per pass; only then may the
         // FIFO path steal tasks that prefer other nodes.
@@ -1840,17 +1991,22 @@ impl SimWorld {
         // slots; completions never interleave with dispatch), so the
         // snapshot is a superset of what the full `0..workers` scan would
         // visit — in the same order — and the in-loop guards skip the rest.
+        // Readiness only shrinks too (nothing is queued during a round).
         let start = self.rotate % workers;
-        let cands: Vec<u32> = self
-            .avail
-            .range(start..)
-            .chain(self.avail.range(..start))
-            .copied()
-            .collect();
+        let avail_empty = self.index.avail.is_empty();
+        let snap = if ready_only {
+            &self.index.ready
+        } else {
+            &self.index.avail
+        };
+        let mut cands = std::mem::take(&mut self.dispatch_cands);
+        cands.clear();
+        cands.extend(snap.range(start..).chain(snap.range(..start)));
         for allow_steal in [false, true] {
             self.dispatch_round += 1;
             let round = self.dispatch_round;
             loop {
+                self.dispatch_passes += 1;
                 let mut launched_any = false;
                 for &node in &cands {
                     if !self.node_up[node as usize] || self.blacklisted[node as usize] {
@@ -1939,8 +2095,11 @@ impl SimWorld {
         // Bugfix (DESIGN.md §4.14): with pending work, an empty availability
         // snapshot, and no delay-retry wake, nothing re-arms dispatch. Flag
         // it so the next slot-freeing or node-recovery event re-dispatches.
-        self.dispatch_starved =
-            self.tasks.pending > 0 && cands.is_empty() && earliest_retry.is_none();
+        // (An empty ready snapshot is not starvation: an available node may
+        // still gain local work.)
+        self.dispatch_starved = self.tasks.pending > 0 && avail_empty && earliest_retry.is_none();
+        self.dispatch_order = order;
+        self.dispatch_cands = cands;
     }
 
     /// CAD only gates nodes whose store device actually shows congestion
@@ -2051,11 +2210,8 @@ impl SimWorld {
 
     fn launch(&mut self, now: SimTime, task: u32, node: u32, out: &mut Outbox<Ev>) {
         debug_assert_eq!(self.tasks.state[task as usize], TState::Pending);
-        self.launch_count += 1;
-        let doomed = self
-            .doomed_launches
-            .binary_search(&self.launch_count)
-            .is_ok();
+        self.launches += 1;
+        let doomed = self.doomed_launches.binary_search(&self.launches).is_ok();
         self.free_slots[node as usize] -= 1;
         self.note_slot_change(node);
         {
@@ -3494,7 +3650,8 @@ impl SimWorld {
         }
         for id in moved {
             let ji = self.job_index_of(id);
-            self.jobs[ji].prefs_q[repl as usize].push_back(id);
+            self.index
+                .push(&mut self.jobs[ji].prefs_q[repl as usize], repl, id);
         }
     }
 
@@ -3514,6 +3671,7 @@ impl SimWorld {
             },
         );
         let job = self.jobs.remove(ji);
+        self.index.remove_job(&job);
         // Retire the aborted job's tasks. Running ones hand their slot back
         // (the stale-completion filter drops their in-flight IO); queue
         // entries die with the JobRun.
@@ -3879,6 +4037,7 @@ impl SimWorld {
 
     fn finish_job(&mut self, now: SimTime, ji: usize, out: &mut Outbox<Ev>) {
         let job = self.jobs.remove(ji);
+        self.index.remove_job(&job);
         self.trace(
             now,
             TE::JobEnd {
@@ -4427,6 +4586,165 @@ mod tests {
         assert_eq!(w.pick(t6, 1, 0, true), Err(Some(t5 + wait)));
     }
 
+    /// A map → groupByKey plan over `parts` partitions with 31 distinct
+    /// keys: its store phase queues one flush per producer, pinned to the
+    /// producer's node.
+    fn shuffle_rdd(parts: usize) -> crate::rdd::Rdd {
+        let recs: Vec<Record> = (0..512)
+            .map(|i| (Value::I64(i % 31), Value::I64(i)))
+            .collect();
+        crate::rdd::Rdd::source(Dataset::from_records(recs, parts))
+            .map("work", crate::rdd::SizeModel::new(1.0, 1.0, 2e6), |r| r)
+            .group_by_key(Some(4), 1e9)
+    }
+
+    /// Step until `done` holds, auditing the dispatch node index after
+    /// every event.
+    fn step_audited(
+        sim: &mut memres_des::Simulation<SimWorld>,
+        mut done: impl FnMut(&SimWorld) -> bool,
+    ) {
+        while !done(&sim.model) {
+            assert!(sim.step(), "ran out of events");
+            sim.model.audit_node_index().expect("node index");
+        }
+    }
+
+    /// Index of the resident job of `tenant` that is in its store phase.
+    fn storing_job(w: &SimWorld, tenant: u32) -> Option<usize> {
+        w.jobs
+            .iter()
+            .position(|j| j.tenant == tenant && matches!(j.phase, RunPhase::Storing(_)))
+    }
+
+    #[test]
+    fn node_index_tracks_repin_after_crash() {
+        let cfg = EngineConfig::default().homogeneous();
+        let mut sim = memres_des::Simulation::new(SimWorld::new(tiny(4), cfg));
+        let mut out = memres_des::Outbox::standalone(SimTime::ZERO);
+        let plan = build_plan(&shuffle_rdd(32), Action::Count, &Default::default());
+        sim.model.submit_job(SimTime::ZERO, plan, &mut out);
+        sim.drain_outbox(out);
+        step_audited(&mut sim, |w| storing_job(w, 0).is_some());
+        // The store phase has just queued its pinned flushes; crash a node
+        // holding some before any launches there.
+        let now = sim.now();
+        let w = &mut sim.model;
+        let dead = (0..4u32)
+            .rev()
+            .find(|&n| !w.jobs[0].prefs_q[n as usize].is_empty())
+            .expect("pinned flushes queued");
+        let mut out = memres_des::Outbox::standalone(now);
+        w.node_crash(now, dead, Some(SimDuration::from_secs_f64(0.5)), &mut out);
+        w.audit_node_index().expect("index after crash");
+        // The dead node's queue now holds only stale entries: still counted
+        // until `pick` pops them, but never ready. The flushes moved to the
+        // replacement, which is.
+        let repl = w.replacement_node().expect("live node left");
+        assert_eq!(w.index.pref_jobs[dead as usize], 1);
+        assert!(!w.index.ready.contains(&dead));
+        assert!(!w.jobs[0].prefs_q[repl as usize].is_empty());
+        assert!(w.index.ready.contains(&repl) || w.free_slots[repl as usize] == 0);
+        sim.drain_outbox(out);
+        // The restart re-admits the dead node with its stale queue; the
+        // first dispatch there pops it empty.
+        step_audited(&mut sim, |w| w.job_done);
+        assert_eq!(sim.model.index.pref_jobs, vec![0; 4]);
+        let output = sim.model.take_output().expect("job output");
+        assert!(!output.aborted);
+        assert_eq!(output.count, 31);
+    }
+
+    #[test]
+    fn aborted_jobs_leave_the_node_index() {
+        let mut w = world();
+        let mut out = memres_des::Outbox::standalone(SimTime::ZERO);
+        for (id, tenant) in [(1, 0), (2, 1)] {
+            let plan = Arc::new(placed_plan(8));
+            w.admit_job(SimTime::ZERO, id, tenant, SimTime::ZERO, plan, &mut out);
+        }
+        w.audit_node_index().expect("index after admission");
+        let shared: Vec<u32> = (0..4u32)
+            .filter(|&n| w.index.pref_jobs[n as usize] == 2)
+            .collect();
+        assert!(!shared.is_empty(), "both jobs prefer some node");
+        w.abort_job(SimTime::ZERO, 0, &mut out);
+        w.audit_node_index().expect("index after the first abort");
+        for &n in &shared {
+            assert_eq!(w.index.pref_jobs[n as usize], 1);
+            assert!(w.index.ready.contains(&n), "the other job still has work");
+        }
+        w.abort_job(SimTime::ZERO, 0, &mut out);
+        w.audit_node_index().expect("index after the second abort");
+        assert_eq!(w.index.pref_jobs, vec![0; 4]);
+        assert!(w.index.ready.is_empty());
+    }
+
+    #[test]
+    fn job_departing_with_stale_pinned_entries_leaves_the_index() {
+        // Two tenants: a shuffle job and a long scan. A permanent crash in
+        // the shuffle job's store phase strands stale pinned entries on the
+        // dead node; the job then finishes with them still queued, while
+        // the scan job stays resident.
+        use crate::tenancy::{ArrivalProcess, TenantSpec};
+        let scan = |_k: u32| {
+            let recs: Vec<Record> = (0..256).map(|i| (Value::I64(i), Value::I64(i))).collect();
+            let rdd = crate::rdd::Rdd::source(Dataset::from_records(recs, 64)).map(
+                "slow",
+                crate::rdd::SizeModel::new(1.0, 1.0, 50.0),
+                |r| r,
+            );
+            (rdd, Action::Count)
+        };
+        let spec = StreamSpec::new(
+            vec![
+                TenantSpec::new(
+                    "shuffle",
+                    1,
+                    ArrivalProcess::Trace(vec![0.0]),
+                    Arc::new(|_| (shuffle_rdd(32), Action::Count)),
+                ),
+                TenantSpec::new("scan", 1, ArrivalProcess::Trace(vec![0.0]), Arc::new(scan)),
+            ],
+            InterJobPolicy::Fifo,
+            7,
+        );
+        let cfg = EngineConfig::default().homogeneous();
+        let mut sim = memres_des::Simulation::new(SimWorld::new(tiny(4), cfg));
+        let mut out = memres_des::Outbox::standalone(SimTime::ZERO);
+        sim.model.start_stream(SimTime::ZERO, spec, &mut out);
+        sim.drain_outbox(out);
+        step_audited(&mut sim, |w| storing_job(w, 0).is_some());
+        let now = sim.now();
+        let w = &mut sim.model;
+        let ji = storing_job(w, 0).expect("shuffle job storing");
+        let dead = (0..4u32)
+            .rev()
+            .find(|&n| !w.jobs[ji].prefs_q[n as usize].is_empty())
+            .expect("pinned flushes queued");
+        let mut out = memres_des::Outbox::standalone(now);
+        w.node_crash(now, dead, None, &mut out);
+        w.audit_node_index().expect("index after crash");
+        sim.drain_outbox(out);
+        let mut stale_at_departure = false;
+        step_audited(&mut sim, |w| {
+            let shuffle = w.jobs.iter().find(|j| j.tenant == 0);
+            if let Some(j) = shuffle {
+                stale_at_departure = !j.prefs_q[dead as usize].is_empty();
+            }
+            shuffle.is_none()
+        });
+        assert!(stale_at_departure, "the job departed with stale entries");
+        assert!(
+            sim.model.jobs.iter().any(|j| j.tenant == 1),
+            "the scan job is still resident"
+        );
+        step_audited(&mut sim, |w| w.job_done);
+        let done = sim.model.drain_finished();
+        assert_eq!(done.len(), 2);
+        assert!(done.iter().all(|f| !f.output.aborted));
+    }
+
     #[test]
     fn starved_dispatch_rearms_when_backoff_frees_a_slot() {
         // Regression (dispatch wedge bugfix): with every slot busy and no
@@ -4485,7 +4803,7 @@ mod tests {
         assert!(!w.blacklisted[2]);
         assert!(!w.dispatch_starved);
         assert!(
-            w.avail.contains(&2),
+            w.index.avail.contains(&2),
             "node 2 re-entered the availability set"
         );
         assert!(

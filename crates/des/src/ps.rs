@@ -12,7 +12,6 @@
 
 use crate::sim::Gen;
 use crate::time::{SimTime, NANOS_PER_SEC};
-use std::collections::BTreeMap;
 
 /// Handle to a job inside a [`PsResource`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -25,7 +24,11 @@ struct Job<T> {
 
 pub struct PsResource<T> {
     capacity: f64,
-    jobs: BTreeMap<u64, Job<T>>,
+    /// In-flight jobs, ascending by key. Keys are handed out monotonically,
+    /// so `add` appends and every drain, harvest and `work_done` sum walks
+    /// the jobs in key order. A resource holds at most a few dozen jobs, so
+    /// a flat vector beats any map.
+    jobs: Vec<(u64, Job<T>)>,
     next_key: u64,
     last: SimTime,
     gen: Gen,
@@ -39,7 +42,7 @@ impl<T> PsResource<T> {
         assert!(capacity >= 0.0 && capacity.is_finite());
         PsResource {
             capacity,
-            jobs: BTreeMap::new(),
+            jobs: Vec::new(),
             next_key: 0,
             last: SimTime::ZERO,
             gen: Gen::default(),
@@ -63,8 +66,14 @@ impl<T> PsResource<T> {
 
     /// Outstanding (unfinished) work across all jobs.
     pub fn backlog(&self) -> f64 {
-        // lint:allow(float-order): DetMap::values() iterates in insertion order (R1), so the accumulation order is deterministic
-        self.jobs.values().map(|j| j.remaining).sum()
+        self.jobs.iter().map(|(_, j)| j.remaining).sum()
+    }
+
+    fn min_remaining(&self) -> f64 {
+        self.jobs
+            .iter()
+            .map(|(_, j)| j.remaining)
+            .fold(f64::INFINITY, f64::min)
     }
 
     /// Move any numerically finished jobs (remaining ~ 0 after float
@@ -72,16 +81,8 @@ impl<T> PsResource<T> {
     /// exactly 0.0 in the partial-drain branch would never be harvested and
     /// `next_completion` would return the same instant forever.
     fn harvest_zero(&mut self) {
-        let done: Vec<u64> = self
-            .jobs
-            .iter()
-            .filter(|(_, j)| j.remaining <= 1e-9)
-            .map(|(&k, _)| k)
-            .collect();
-        for k in done {
-            let j = self.jobs.remove(&k).expect("job vanished");
-            self.completed.push((JobKey(k), j.tag));
-        }
+        let done = self.jobs.extract_if(.., |(_, j)| j.remaining <= 1e-9);
+        self.completed.extend(done.map(|(k, j)| (JobKey(k), j.tag)));
     }
 
     /// Advance the fluid state to `now`, moving finished jobs to the
@@ -94,37 +95,30 @@ impl<T> PsResource<T> {
         while cur < now && !self.jobs.is_empty() && self.capacity > 0.0 {
             let n = self.jobs.len() as f64;
             let per_job_rate = self.capacity / n;
-            // lint:allow(float-order): f64::min is commutative/associative, so the fold order cannot matter
-            let min_rem = self
-                .jobs
-                .values()
-                .map(|j| j.remaining)
-                .fold(f64::INFINITY, f64::min);
+            let min_rem = self.min_remaining();
             let dt_to_first = min_rem / per_job_rate; // seconds
             let avail = now.since(cur).as_secs_f64();
             if dt_to_first <= avail {
-                // Drain min_rem from every job; harvest the finished ones.
+                // Drain min_rem from every job; harvest the finished ones in
+                // one in-order compaction pass.
                 let drained = min_rem;
                 cur = add_secs(cur, dt_to_first).min(now);
-                let keys: Vec<u64> = self.jobs.keys().copied().collect();
-                for k in keys {
-                    let done = {
-                        let j = self.jobs.get_mut(&k).unwrap();
-                        j.remaining -= drained;
-                        j.remaining <= drained * 1e-9 + 1e-6
-                    };
-                    if done {
-                        let j = self.jobs.remove(&k).unwrap();
-                        self.work_done += drained + j.remaining.max(0.0);
-                        self.completed.push((JobKey(k), j.tag));
+                let work_done = &mut self.work_done;
+                let done = self.jobs.extract_if(.., |(_, j)| {
+                    j.remaining -= drained;
+                    if j.remaining <= drained * 1e-9 + 1e-6 {
+                        *work_done += drained + j.remaining.max(0.0);
+                        true
                     } else {
-                        self.work_done += drained;
+                        *work_done += drained;
+                        false
                     }
-                }
+                });
+                self.completed.extend(done.map(|(k, j)| (JobKey(k), j.tag)));
             } else {
                 // No completion before `now`: drain partially and stop.
                 let drained = per_job_rate * avail;
-                for j in self.jobs.values_mut() {
+                for (_, j) in &mut self.jobs {
                     j.remaining -= drained;
                     self.work_done += drained;
                 }
@@ -145,13 +139,13 @@ impl<T> PsResource<T> {
         if work == 0.0 {
             self.completed.push((key, tag));
         } else {
-            self.jobs.insert(
+            self.jobs.push((
                 key.0,
                 Job {
                     remaining: work,
                     tag,
                 },
-            );
+            ));
         }
         key
     }
@@ -159,7 +153,8 @@ impl<T> PsResource<T> {
     /// Remove a job before completion; returns its tag if it was in flight.
     pub fn cancel(&mut self, now: SimTime, key: JobKey) -> Option<T> {
         self.advance(now);
-        let j = self.jobs.remove(&key.0)?;
+        let at = self.jobs.binary_search_by_key(&key.0, |(k, _)| *k).ok()?;
+        let (_, j) = self.jobs.remove(at);
         self.gen.bump();
         Some(j.tag)
     }
@@ -194,13 +189,10 @@ impl<T> PsResource<T> {
             return None;
         }
         let n = self.jobs.len() as f64;
-        // lint:allow(float-order): f64::min is commutative/associative, so the fold order cannot matter
-        let min_rem = self
-            .jobs
-            .values()
-            .map(|j| j.remaining)
-            .fold(f64::INFINITY, f64::min);
-        Some(add_secs(self.last, min_rem * n / self.capacity))
+        Some(add_secs(
+            self.last,
+            self.min_remaining() * n / self.capacity,
+        ))
     }
 }
 
@@ -374,6 +366,240 @@ mod proptests {
             for pair in finished.windows(2) {
                 let (a, b) = (works[pair[0] as usize], works[pair[1] as usize]);
                 prop_assert!(a <= b + 1e-6, "finished {a} after {b}");
+            }
+        }
+    }
+}
+
+/// The original `BTreeMap`-backed implementation (less the generation
+/// counter and argument checks), kept as the oracle for the flat
+/// [`PsResource`]: same drains, same harvest order, same float
+/// accumulation order.
+#[cfg(test)]
+mod reference {
+    use super::{add_secs, JobKey};
+    use crate::time::SimTime;
+    use std::collections::BTreeMap;
+
+    struct Job<T> {
+        remaining: f64,
+        tag: T,
+    }
+
+    pub struct MapPs<T> {
+        capacity: f64,
+        jobs: BTreeMap<u64, Job<T>>,
+        next_key: u64,
+        last: SimTime,
+        completed: Vec<(JobKey, T)>,
+        pub work_done: f64,
+    }
+
+    impl<T> MapPs<T> {
+        pub fn new(capacity: f64) -> Self {
+            MapPs {
+                capacity,
+                jobs: BTreeMap::new(),
+                next_key: 0,
+                last: SimTime::ZERO,
+                completed: Vec::new(),
+                work_done: 0.0,
+            }
+        }
+
+        pub fn load(&self) -> usize {
+            self.jobs.len()
+        }
+
+        pub fn backlog(&self) -> f64 {
+            self.jobs.values().map(|j| j.remaining).sum()
+        }
+
+        fn harvest_zero(&mut self) {
+            let done: Vec<u64> = self
+                .jobs
+                .iter()
+                .filter(|(_, j)| j.remaining <= 1e-9)
+                .map(|(&k, _)| k)
+                .collect();
+            for k in done {
+                let j = self.jobs.remove(&k).unwrap();
+                self.completed.push((JobKey(k), j.tag));
+            }
+        }
+
+        fn advance(&mut self, now: SimTime) {
+            self.harvest_zero();
+            let mut cur = self.last;
+            while cur < now && !self.jobs.is_empty() && self.capacity > 0.0 {
+                let n = self.jobs.len() as f64;
+                let per_job_rate = self.capacity / n;
+                let min_rem = self
+                    .jobs
+                    .values()
+                    .map(|j| j.remaining)
+                    .fold(f64::INFINITY, f64::min);
+                let dt_to_first = min_rem / per_job_rate;
+                let avail = now.since(cur).as_secs_f64();
+                if dt_to_first <= avail {
+                    let drained = min_rem;
+                    cur = add_secs(cur, dt_to_first).min(now);
+                    let keys: Vec<u64> = self.jobs.keys().copied().collect();
+                    for k in keys {
+                        let done = {
+                            let j = self.jobs.get_mut(&k).unwrap();
+                            j.remaining -= drained;
+                            j.remaining <= drained * 1e-9 + 1e-6
+                        };
+                        if done {
+                            let j = self.jobs.remove(&k).unwrap();
+                            self.work_done += drained + j.remaining.max(0.0);
+                            self.completed.push((JobKey(k), j.tag));
+                        } else {
+                            self.work_done += drained;
+                        }
+                    }
+                } else {
+                    let drained = per_job_rate * avail;
+                    for j in self.jobs.values_mut() {
+                        j.remaining -= drained;
+                        self.work_done += drained;
+                    }
+                    cur = now;
+                }
+            }
+            self.last = now;
+            self.harvest_zero();
+        }
+
+        pub fn add(&mut self, now: SimTime, work: f64, tag: T) -> JobKey {
+            self.advance(now);
+            let key = JobKey(self.next_key);
+            self.next_key += 1;
+            if work == 0.0 {
+                self.completed.push((key, tag));
+            } else {
+                self.jobs.insert(
+                    key.0,
+                    Job {
+                        remaining: work,
+                        tag,
+                    },
+                );
+            }
+            key
+        }
+
+        pub fn cancel(&mut self, now: SimTime, key: JobKey) -> Option<T> {
+            self.advance(now);
+            self.jobs.remove(&key.0).map(|j| j.tag)
+        }
+
+        pub fn set_capacity(&mut self, now: SimTime, capacity: f64) {
+            self.advance(now);
+            if (capacity - self.capacity).abs() > f64::EPSILON {
+                self.capacity = capacity;
+            }
+        }
+
+        pub fn poll(&mut self, now: SimTime) -> Vec<(JobKey, T)> {
+            self.advance(now);
+            std::mem::take(&mut self.completed)
+        }
+
+        pub fn next_completion(&self) -> Option<SimTime> {
+            if !self.completed.is_empty() {
+                return Some(self.last);
+            }
+            if self.jobs.is_empty() || self.capacity <= 0.0 {
+                return None;
+            }
+            let n = self.jobs.len() as f64;
+            let min_rem = self
+                .jobs
+                .values()
+                .map(|j| j.remaining)
+                .fold(f64::INFINITY, f64::min);
+            Some(add_secs(self.last, min_rem * n / self.capacity))
+        }
+    }
+}
+
+#[cfg(test)]
+mod differential {
+    use super::reference::MapPs;
+    use super::*;
+    use proptest::prelude::*;
+
+    /// One random call `(kind, dt, x)`: `kind` picks the method (weights
+    /// 4 add : 1 cancel : 1 set_capacity : 2 poll : 3 poll-next), `dt` past
+    /// 1 s advances the clock by the excess (so a third of calls land at the
+    /// same instant), and `x` in [0, 1) scales the argument.
+    fn raw_op() -> (
+        std::ops::Range<u32>,
+        std::ops::Range<u64>,
+        std::ops::Range<f64>,
+    ) {
+        (0..11, 0..3_000_000_000, 0.0..1.0)
+    }
+
+    proptest! {
+        /// The flat resource and the `BTreeMap` oracle agree bit for bit on
+        /// every completion (time, key, tag), on `next_completion`, on
+        /// `work_done` and on `backlog`, under any interleaving of calls.
+        #[test]
+        fn flat_matches_btreemap_oracle(
+            cap in 0.5f64..500.0,
+            ops in proptest::collection::vec(raw_op(), 1..120),
+        ) {
+            let mut flat = PsResource::new(cap);
+            let mut oracle = MapPs::new(cap);
+            let mut now = SimTime::ZERO;
+            let mut keys: Vec<JobKey> = Vec::new();
+            for (i, (kind, dt, x)) in ops.into_iter().enumerate() {
+                let tag = i as u32;
+                if kind != 10 && dt >= 1_000_000_000 {
+                    now = SimTime::from_nanos(now.as_nanos() + dt - 1_000_000_000);
+                }
+                // Zero work and zero capacity are edge cases worth hitting.
+                let scaled = |hi: f64| if x < 0.1 { 0.0 } else { x * hi };
+                let got = match kind {
+                    0..=3 => {
+                        let work = scaled(1e3);
+                        let k = flat.add(now, work, tag);
+                        prop_assert_eq!(k, oracle.add(now, work, tag));
+                        keys.push(k);
+                        None
+                    }
+                    4 => {
+                        if !keys.is_empty() {
+                            let k = keys[(x * keys.len() as f64) as usize];
+                            prop_assert_eq!(flat.cancel(now, k), oracle.cancel(now, k));
+                        }
+                        None
+                    }
+                    5 => {
+                        let cap = scaled(500.0);
+                        flat.set_capacity(now, cap);
+                        oracle.set_capacity(now, cap);
+                        None
+                    }
+                    6..=7 => Some((flat.poll(now), oracle.poll(now))),
+                    _ => match flat.next_completion() {
+                        Some(t) if t < SimTime::FAR_FUTURE => {
+                            now = t;
+                            Some((flat.poll(now), oracle.poll(now)))
+                        }
+                        _ => None,
+                    },
+                };
+                if let Some((a, b)) = got {
+                    prop_assert_eq!(a, b, "completions at {}", now);
+                }
+                prop_assert_eq!(flat.next_completion(), oracle.next_completion());
+                prop_assert_eq!(flat.work_done.to_bits(), oracle.work_done.to_bits());
+                prop_assert_eq!(flat.backlog().to_bits(), oracle.backlog().to_bits());
+                prop_assert_eq!(flat.load(), oracle.load());
             }
         }
     }

@@ -101,8 +101,10 @@ pub struct FlowNet<T> {
     gen: Gen,
     delivered: Vec<Delivered<T>>,
     /// Deterministic work counters (exposed for perf assertions and
-    /// `repro bench --json`). `recomputes`: water-filling passes.
+    /// `repro bench --json`). `recomputes`: water-filling passes;
+    /// `waterfill_iters`: bottleneck links frozen across those passes.
     pub recomputes: u64,
+    pub waterfill_iters: u64,
     /// `next_event` calls, and the calls the memo could not answer.
     pub next_event_calls: u64,
     pub next_event_misses: u64,
@@ -162,6 +164,7 @@ impl<T> FlowNet<T> {
             gen: Gen::default(),
             delivered: Vec::new(),
             recomputes: 0,
+            waterfill_iters: 0,
             next_event_calls: 0,
             next_event_misses: 0,
             next_event_scans: 0,
@@ -597,6 +600,7 @@ impl<T> FlowNet<T> {
             let Some((bottleneck, share)) = best else {
                 break;
             };
+            self.waterfill_iters += 1;
             // Freeze every unfrozen flow crossing the bottleneck at `share`
             // (ascending flow id, like the pre-index implementation).
             for &s in &self.flows_on_link[bottleneck] {
@@ -1022,6 +1026,8 @@ mod tests {
             base + 1,
             "same-instant arrivals must coalesce"
         );
+        // All ten flows share the one link: a single bottleneck iteration.
+        assert_eq!(net.waterfill_iters, 1);
     }
 
     #[test]
