@@ -18,9 +18,10 @@
 //! typo can't burn hours of experiments first.
 //!
 //! `bench` times the simulator itself (host wall-clock) on the mid-size
-//! Fig 7a/8a cells and, with `--json DIR`, writes `DIR/bench.json` — the
-//! machine-readable before/after record used by performance PRs. It runs
-//! at paper scale (100 nodes) by default; pass `--smoke` for a quick CI run.
+//! Fig 7a/8a cells and, with `--json DIR`, writes `DIR/bench.json`: each
+//! run's host time next to its exact work counters. It runs at paper scale
+//! (100 nodes) by default; pass `--smoke` for a quick CI run. `scale` does
+//! the same for the scale-out cells (`DIR/scale.json`).
 //!
 //! `trace <cell>` re-runs one bench cell with full event tracing and, with
 //! `--json DIR`, writes `DIR/<cell>.trace.json` (Chrome trace-event form,
@@ -305,7 +306,6 @@ fn main() {
     }
     let mut setup = ex::Setup::paper();
     let mut smoke = false;
-    let mut baseline = false;
     let mut json_dir: Option<String> = None;
     let mut targets: Vec<String> = Vec::new();
     // `(subcommand, cell)` pairs for `trace`/`explain`/`report <cell>`.
@@ -329,7 +329,6 @@ fn main() {
                 setup = ex::Setup::smoke();
                 smoke = true;
             }
-            "--baseline" => baseline = true,
             "--slow-ssd" => {
                 i += 1;
                 let f: f64 = operand(&args, i, "--slow-ssd", "a speed factor in (0, 1]")
@@ -378,17 +377,22 @@ fn main() {
         targets = ALL_TARGETS.iter().map(|s| s.to_string()).collect();
     }
 
-    // Render a table (and its JSON, when requested); report whether any run
-    // inside it aborted so main can turn that into a non-zero exit code.
-    let emit = |t: &Table, json_dir: &Option<String>| -> bool {
-        println!("{}", t.render());
-        if let Some(dir) = json_dir {
+    // Write `DIR/<name>.json` when `--json DIR` was given.
+    let write_json = |name: &str, body: &str| {
+        if let Some(dir) = &json_dir {
             std::fs::create_dir_all(dir).expect("create json dir");
-            let path = format!("{dir}/{}.json", t.id);
+            let path = format!("{dir}/{name}.json");
             let mut f = std::fs::File::create(&path).expect("create json file");
-            let _ = writeln!(f, "{}", t.to_json());
+            let _ = writeln!(f, "{body}");
             eprintln!("wrote {path}");
         }
+    };
+
+    // Render a table (and its JSON, when requested); report whether any run
+    // inside it aborted so main can turn that into a non-zero exit code.
+    let emit = |t: &Table| -> bool {
+        println!("{}", t.render());
+        write_json(t.id, &t.to_json());
         t.try_column("aborted_jobs")
             .is_some_and(|col| col.iter().any(|&v| v > 0.0))
     };
@@ -401,81 +405,56 @@ fn main() {
     for target in &targets {
         let start = std::time::Instant::now();
         match target.as_str() {
-            "table1" => job_aborted |= emit(&ex::table1(), &json_dir),
+            "table1" => job_aborted |= emit(&ex::table1()),
             "plans" => println!("{}", ex::plans(setup)),
-            "fig5a" => job_aborted |= emit(&ex::fig5a(setup), &json_dir),
-            "fig5b" => job_aborted |= emit(&ex::fig5b(setup), &json_dir),
-            "fig7a" => job_aborted |= emit(&ex::fig7a(setup), &json_dir),
-            "fig7b" => job_aborted |= emit(&ex::fig7b(setup), &json_dir),
-            "fig8a" => job_aborted |= emit(&ex::fig8a(setup), &json_dir),
-            "fig8b" => job_aborted |= emit(&ex::fig8b(setup), &json_dir),
-            "fig8c" => job_aborted |= emit(&ex::fig8c(setup), &json_dir),
-            "fig8d" => job_aborted |= emit(&ex::fig8d(setup), &json_dir),
-            "fig9a" => job_aborted |= emit(&ex::fig9a(setup), &json_dir),
-            "fig9b" => job_aborted |= emit(&ex::fig9b(setup), &json_dir),
-            "fig10" => job_aborted |= emit(&ex::fig10(setup), &json_dir),
-            "fig12a" => job_aborted |= emit(&ex::fig12a(setup), &json_dir),
-            "fig12b" => job_aborted |= emit(&ex::fig12b(setup), &json_dir),
-            "fig13a" => job_aborted |= emit(&ex::fig13a(setup), &json_dir),
-            "fig13b" => job_aborted |= emit(&ex::fig13b(setup), &json_dir),
-            "baselines" => job_aborted |= emit(&ex::baseline_speculation(setup), &json_dir),
-            "faults" => job_aborted |= emit(&ex::faults(setup), &json_dir),
-            "faults-abort" => job_aborted |= emit(&ex::faults_abort(setup), &json_dir),
+            "fig5a" => job_aborted |= emit(&ex::fig5a(setup)),
+            "fig5b" => job_aborted |= emit(&ex::fig5b(setup)),
+            "fig7a" => job_aborted |= emit(&ex::fig7a(setup)),
+            "fig7b" => job_aborted |= emit(&ex::fig7b(setup)),
+            "fig8a" => job_aborted |= emit(&ex::fig8a(setup)),
+            "fig8b" => job_aborted |= emit(&ex::fig8b(setup)),
+            "fig8c" => job_aborted |= emit(&ex::fig8c(setup)),
+            "fig8d" => job_aborted |= emit(&ex::fig8d(setup)),
+            "fig9a" => job_aborted |= emit(&ex::fig9a(setup)),
+            "fig9b" => job_aborted |= emit(&ex::fig9b(setup)),
+            "fig10" => job_aborted |= emit(&ex::fig10(setup)),
+            "fig12a" => job_aborted |= emit(&ex::fig12a(setup)),
+            "fig12b" => job_aborted |= emit(&ex::fig12b(setup)),
+            "fig13a" => job_aborted |= emit(&ex::fig13a(setup)),
+            "fig13b" => job_aborted |= emit(&ex::fig13b(setup)),
+            "baselines" => job_aborted |= emit(&ex::baseline_speculation(setup)),
+            "faults" => job_aborted |= emit(&ex::faults(setup)),
+            "faults-abort" => job_aborted |= emit(&ex::faults_abort(setup)),
             "scale" => {
-                // `--smoke` runs only the CI-sized cell; `--baseline` turns
-                // the scale optimizations off (where feasible) for the
-                // before/after record in BENCH_6.json.
+                // `--smoke` runs only the CI-sized cell.
                 let mut records = Vec::new();
                 for c in scale::selected(smoke) {
-                    if baseline && !scale::baseline_feasible(c.name) {
-                        eprintln!(
-                            "skipping {} baseline: per-node flows at {} nodes are \
-                             infeasible (see DESIGN.md, rack aggregation)",
-                            c.name, c.workers
-                        );
-                        continue;
-                    }
                     let t0 = std::time::Instant::now();
-                    let r = scale::run(c, setup.seed, baseline);
+                    records.push(scale::run(c, setup.seed));
                     eprintln!("[{} took {:.1}s]", c.name, t0.elapsed().as_secs_f64());
-                    records.push(r);
                 }
-                println!("{}", scale::table(&records, baseline).render());
-                if let Some(dir) = &json_dir {
-                    std::fs::create_dir_all(dir).expect("create json dir");
-                    let suffix = if baseline { "scale_baseline" } else { "scale" };
-                    let path = format!("{dir}/{suffix}.json");
-                    let mut f = std::fs::File::create(&path).expect("create json file");
-                    let _ = writeln!(f, "{}", scale::to_json(setup.seed, baseline, &records));
-                    eprintln!("wrote {path}");
-                }
+                println!("{}", scale::table(&records).render());
+                write_json("scale", &scale::to_json(setup.seed, &records));
             }
             "bench" => {
-                let records = perf::suite_baseline(setup, baseline);
+                let records = perf::suite(setup);
                 println!("{}", perf::table(&records).render());
-                if let Some(dir) = &json_dir {
-                    std::fs::create_dir_all(dir).expect("create json dir");
-                    let suffix = if baseline { "bench_baseline" } else { "bench" };
-                    let path = format!("{dir}/{suffix}.json");
-                    let mut f = std::fs::File::create(&path).expect("create json file");
-                    let _ = writeln!(f, "{}", perf::to_json(setup, &records));
-                    eprintln!("wrote {path}");
-                }
+                write_json("bench", &perf::to_json(setup, &records));
             }
             "ablations" => {
-                job_aborted |= emit(&ex::ablation_elb_threshold(setup), &json_dir);
-                job_aborted |= emit(&ex::ablation_cad_step(setup), &json_dir);
-                job_aborted |= emit(&ex::ablation_delay_wait(setup), &json_dir);
+                job_aborted |= emit(&ex::ablation_elb_threshold(setup));
+                job_aborted |= emit(&ex::ablation_cad_step(setup));
+                job_aborted |= emit(&ex::ablation_delay_wait(setup));
             }
             "tenants" => {
-                job_aborted |= emit(&tenants::policies(setup), &json_dir);
-                job_aborted |= emit(&tenants::elb_interleaved(setup), &json_dir);
-                job_aborted |= emit(&tenants::cad_starvation(setup), &json_dir);
+                job_aborted |= emit(&tenants::policies(setup));
+                job_aborted |= emit(&tenants::elb_interleaved(setup));
+                job_aborted |= emit(&tenants::cad_starvation(setup));
             }
             "fig14" | "fig14a" | "fig14b" => {
                 let (a, b) = ex::fig14(setup);
-                job_aborted |= emit(&a, &json_dir);
-                job_aborted |= emit(&b, &json_dir);
+                job_aborted |= emit(&a);
+                job_aborted |= emit(&b);
             }
             other => unreachable!("target '{other}' passed validation but has no handler"),
         }

@@ -18,7 +18,7 @@
 //! 4. **fault-equiv** — a faulted run that completes produces output equal
 //!    to the fault-free run (lineage recovery is lossless).
 //! 5. **export-determinism** — `job_json`/`tasks_csv` are byte-identical
-//!    across 1-vs-N executor threads and calendar-vs-legacy event queue.
+//!    across 1-vs-N executor threads and calendar-vs-heap event queue.
 //! 6. **stream-isolation / stream-conserve** — a two-tenant job stream
 //!    derived from the same spec (DESIGN.md §4.14) retires every arrival,
 //!    each job's output equals its isolated single-job run (concurrent
@@ -99,6 +99,7 @@ pub struct FuzzSpec {
     pub sched: SchedKind,
     /// `rack_agg_threshold` (`u32::MAX` encodes as `off`).
     pub agg: u32,
+    /// Run on the reference heap event calendar (`Driver::use_heap_queue`).
     pub legacy: bool,
     pub threads: u32,
     pub trace: bool,
@@ -216,7 +217,8 @@ impl FuzzSpec {
     }
 
     /// The engine configuration this spec describes (fault plan excluded —
-    /// the harness attaches it only to the faulted comparison run).
+    /// the harness attaches it only to the faulted comparison run; the
+    /// event calendar is chosen on the driver, see `FuzzSpec::driver`).
     pub fn config(&self) -> EngineConfig {
         let mut cfg = EngineConfig {
             input: match self.input {
@@ -231,7 +233,6 @@ impl FuzzSpec {
             },
             task_jitter: self.jitter_pct as f64 / 100.0,
             seed: self.seed,
-            legacy_event_queue: self.legacy,
             rack_agg_threshold: self.agg,
             ..EngineConfig::default()
         }
@@ -253,6 +254,24 @@ impl FuzzSpec {
             cfg = cfg.with_defect(Defect::DropAggBytes);
         }
         cfg
+    }
+
+    /// A driver for this spec under the harness's discipline: strict event
+    /// scheduling (scheduling before `now` panics instead of clamping, even
+    /// in release fuzz runs — the dynamic `event-past` check), an event
+    /// budget, and the heap calendar when `legacy` is set.
+    fn driver(&self, budget: u64, faults: Option<FaultPlan>) -> Result<Driver, String> {
+        let mut cfg = self.config();
+        if let Some(plan) = faults {
+            cfg = cfg.with_faults(plan);
+        }
+        let mut d = Driver::try_new(self.cluster(), cfg)?;
+        d.set_strict_schedule(true);
+        d.set_max_steps(budget);
+        if self.legacy {
+            d.use_heap_queue();
+        }
+        Ok(d)
     }
 
     /// Build the workload's lineage graph. Rebuilt fresh for every run —
@@ -517,15 +536,7 @@ fn run_spec(
     budget: u64,
     faults: Option<FaultPlan>,
 ) -> Result<(memres_core::world::JobOutput, JobMetrics, Vec<TimedEvent>), String> {
-    let mut cfg = spec.config();
-    if let Some(plan) = faults {
-        cfg = cfg.with_faults(plan);
-    }
-    let mut d = Driver::try_new(spec.cluster(), cfg)?;
-    // Strict event discipline: scheduling before `now` panics instead of
-    // clamping, even in release fuzz runs (the dynamic `event-past` check).
-    d.set_strict_schedule(true);
-    d.set_max_steps(budget);
+    let mut d = spec.driver(budget, faults)?;
     let (rdd, action) = spec.build_rdd();
     let (out, metrics) = d.run_audited(&rdd, action, AUDIT_EVERY)?;
     Ok((out, metrics, d.take_trace()))
@@ -648,10 +659,9 @@ pub fn check(spec: &FuzzSpec, budget: u64) -> Result<(), Failure> {
     // arrival; each job's output equals the same job run alone on a fresh
     // cluster, and bytes are conserved across every shuffle of every
     // resident job (concurrent residency shares slots, never data).
-    let mut d = Driver::try_new(spec.cluster(), spec.config())
+    let mut d = spec
+        .driver(budget, None)
         .map_err(|e| Failure::new("stream-isolation", e))?;
-    d.set_strict_schedule(true);
-    d.set_max_steps(budget);
     let finished = d
         .run_stream_audited(spec.stream(), AUDIT_EVERY)
         .map_err(|e| Failure::new("stream-isolation", e))?;
@@ -681,10 +691,9 @@ pub fn check(spec: &FuzzSpec, budget: u64) -> Result<(), Failure> {
         check_conservation(&j.metrics)
             .map_err(|e| Failure::new("stream-conserve", format!("tenant {t} job {k}: {e}")))?;
         let (rdd, action) = factories[t](k);
-        let mut iso = Driver::try_new(spec.cluster(), spec.config())
+        let mut iso = spec
+            .driver(budget, None)
             .map_err(|e| Failure::new("stream-isolation", e))?;
-        iso.set_strict_schedule(true);
-        iso.set_max_steps(budget);
         let (iso_out, _) = iso
             .run_audited(&rdd, action, 0)
             .map_err(|e| Failure::new("stream-isolation", format!("isolated replay: {e}")))?;
@@ -814,7 +823,7 @@ pub fn run_range(
 
 /// Machine-readable summary (written as `fuzz.json` by `repro fuzz --json`).
 pub fn to_json(outcomes: &[Outcome], budget: u64) -> String {
-    use crate::json::escape;
+    use memres_des::json::escape;
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"budget\": {budget},");
     let _ = writeln!(out, "  \"seeds\": {},", outcomes.len());

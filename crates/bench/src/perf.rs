@@ -3,14 +3,15 @@
 //! Times the *simulator itself* (host wall-clock, not simulated seconds) on
 //! the mid-size Fig 7a / Fig 8a GroupBy cells, the repository's hottest
 //! end-to-end paths: tens of thousands of shuffle flows through the max–min
-//! fair network plus the real-partition executor. The JSON output is the
-//! baseline/after evidence for performance PRs (see EXPERIMENTS.md
-//! "Performance").
+//! fair network plus the real-partition executor. The JSON output records
+//! each run's host time next to its exact work counters (see EXPERIMENTS.md
+//! "Performance"); host-time comparisons between two builds come from
+//! `perfbench/` run on one host.
 
 use crate::experiments::Setup;
-use crate::json::{escape, num};
 use crate::Table;
 use memres_core::prelude::*;
+use memres_des::json::{escape, num};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -76,14 +77,6 @@ impl CoreWork {
             launches: w.launches,
         }
     }
-
-    /// The flat JSON fields both `repro bench` and `repro scale` write.
-    pub fn json_fields(&self) -> String {
-        format!(
-            "\"dispatch_calls\": {}, \"dispatch_passes\": {}, \"pick_calls\": {}, \"launches\": {}",
-            self.dispatch_calls, self.dispatch_passes, self.pick_calls, self.launches
-        )
-    }
 }
 
 impl PerfRecord {
@@ -107,6 +100,35 @@ impl PerfRecord {
         } else {
             0.0
         }
+    }
+
+    /// The run as one JSON object on one line, with its [`NetWork`] and
+    /// [`CoreWork`] counters flat.
+    pub(crate) fn json_line(&self) -> String {
+        let (n, c) = (&self.net, &self.core);
+        format!(
+            "{{\"name\": \"{}\", \"wall_s\": {}, \"sim_job_s\": {}, \"events\": {}, \"events_per_s\": {}, \"heap_bytes\": {}, \
+             \"recomputes\": {}, \"waterfill_iters\": {}, \"next_event_calls\": {}, \"next_event_misses\": {}, \
+             \"next_event_scans\": {}, \"advance_calls\": {}, \"shared_pushes\": {}, \
+             \"dispatch_calls\": {}, \"dispatch_passes\": {}, \"pick_calls\": {}, \"launches\": {}}}",
+            escape(self.name),
+            num(self.wall_s),
+            num(self.sim_s),
+            self.events,
+            num(self.events_per_sec()),
+            self.heap_bytes,
+            n.recomputes,
+            n.waterfill_iters,
+            n.next_event_calls,
+            n.next_event_misses,
+            n.next_event_scans,
+            n.advance_calls,
+            n.shared_pushes,
+            c.dispatch_calls,
+            c.dispatch_passes,
+            c.pick_calls,
+            c.launches,
+        )
     }
 }
 
@@ -153,7 +175,8 @@ pub fn cell(
     ))
 }
 
-fn time_run(
+/// Time one GroupBy run from driver construction to job end.
+pub(crate) fn time_run(
     name: &'static str,
     spec: memres_cluster::ClusterSpec,
     cfg: EngineConfig,
@@ -168,32 +191,32 @@ fn time_run(
 /// The mid-size Fig 7a / Fig 8a cells (400 GB and 600 GB paper-scale,
 /// shrunk by `setup.scale` like every other experiment).
 pub fn suite(setup: Setup) -> Vec<PerfRecord> {
-    suite_baseline(setup, false)
-}
-
-/// Same cells with `baseline = true` re-running on the legacy binary-heap
-/// event queue with rack aggregation disabled — the before/after record in
-/// BENCH_6.json. (At 100 nodes the aggregation threshold is never crossed,
-/// so the paper cells isolate the queue swap.)
-pub fn suite_baseline(setup: Setup, baseline: bool) -> Vec<PerfRecord> {
     CELL_NAMES
         .iter()
         .map(|name| {
-            let (spec, mut cfg, gb) = cell(setup, name).expect("suite cell must resolve");
-            if baseline {
-                cfg = cfg
-                    .with_legacy_event_queue()
-                    .with_rack_agg_threshold(u32::MAX);
-            }
+            let (spec, cfg, gb) = cell(setup, name).expect("suite cell must resolve");
             time_run(name, spec, cfg, &gb)
         })
         .collect()
 }
 
 pub fn table(records: &[PerfRecord]) -> Table {
-    let mut t = Table::new(
+    let mut t = runs_table(
         "bench",
         "engine wall-clock (host seconds) on mid-size Fig 7a/8a cells",
+        records,
+    );
+    let total: f64 = records.iter().map(|r| r.wall_s).sum();
+    t.note(format!("total wall-clock {total:.3}s"));
+    t
+}
+
+/// One row per run: host and simulated time, events, throughput, heap.
+/// The table both `repro bench` and `repro scale` print.
+pub(crate) fn runs_table(id: &'static str, title: &str, records: &[PerfRecord]) -> Table {
+    let mut t = Table::new(
+        id,
+        title,
         &["wall_s", "sim_job_s", "events", "events_per_s", "heap_mb"],
     );
     for r in records {
@@ -208,44 +231,36 @@ pub fn table(records: &[PerfRecord]) -> Table {
             ],
         );
     }
-    let total: f64 = records.iter().map(|r| r.wall_s).sum();
-    t.note(format!("total wall-clock {total:.3}s"));
     t
 }
 
-/// Machine-readable record: `{"target", "scale", "seed", "runs": [...],
-/// "total_wall_s"}`; each run carries its [`NetWork`] and [`CoreWork`]
-/// counters flat.
+/// Machine-readable record: `{"target": "bench", "scale", "seed", "runs":
+/// [...], "total_wall_s"}`.
 pub fn to_json(setup: Setup, records: &[PerfRecord]) -> String {
+    let head = [
+        format!("\"scale\": {}", num(setup.scale)),
+        format!("\"seed\": {}", setup.seed),
+    ];
+    runs_json("bench", &head, records)
+}
+
+/// A run-list document: `{"target", <head>, "runs": [...],
+/// "total_wall_s"}`, one [`PerfRecord::json_line`] per run. `head` holds
+/// pre-rendered `"key": value` members. Shared by `repro bench` and
+/// `repro scale`.
+pub(crate) fn runs_json(target: &str, head: &[String], records: &[PerfRecord]) -> String {
     let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"target\": \"bench\",");
-    let _ = writeln!(out, "  \"scale\": {},", num(setup.scale));
-    let _ = writeln!(out, "  \"seed\": {},", setup.seed);
+    let _ = writeln!(out, "  \"target\": \"{}\",", escape(target));
+    for member in head {
+        let _ = writeln!(out, "  {member},");
+    }
     out.push_str("  \"runs\": [");
     for (i, r) in records.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(
-            out,
-            "\n    {{\"name\": \"{}\", \"wall_s\": {}, \"sim_job_s\": {}, \"events\": {}, \"events_per_s\": {}, \"heap_bytes\": {}, \
-             \"recomputes\": {}, \"waterfill_iters\": {}, \"next_event_calls\": {}, \"next_event_misses\": {}, \
-             \"next_event_scans\": {}, \"advance_calls\": {}, \"shared_pushes\": {}, {}}}",
-            escape(r.name),
-            num(r.wall_s),
-            num(r.sim_s),
-            r.events,
-            num(r.events_per_sec()),
-            r.heap_bytes,
-            r.net.recomputes,
-            r.net.waterfill_iters,
-            r.net.next_event_calls,
-            r.net.next_event_misses,
-            r.net.next_event_scans,
-            r.net.advance_calls,
-            r.net.shared_pushes,
-            r.core.json_fields(),
-        );
+        out.push_str("\n    ");
+        out.push_str(&r.json_line());
     }
     if !records.is_empty() {
         out.push_str("\n  ");

@@ -1,4 +1,4 @@
-//! Scale-out cells: `repro scale [--smoke] [--baseline] [--json DIR]`.
+//! Scale-out cells: `repro scale [--smoke] [--json DIR]`.
 //!
 //! Where `repro bench` times the paper-scale cells (100 nodes), this family
 //! pushes the engine to 100× that — thousands of nodes, hundreds of
@@ -8,22 +8,13 @@
 //! no real records, so every byte of cost is engine bookkeeping: the
 //! calendar event queue, rack-level flow aggregation, and the SoA task
 //! arena are exactly what these cells exercise (DESIGN.md "Scaling the
-//! engine 100× past the paper").
-//!
-//! `--baseline` re-runs with the optimizations off (`legacy_event_queue`
-//! plus `rack_agg_threshold = u32::MAX`): the before/after evidence in
-//! BENCH_6.json. Only the smoke cell is baseline-feasible — per-node fetch
-//! flows at thousands of nodes put the max–min water-filler in
-//! O(flows²·links) territory, which is precisely why the aggregation tier
-//! exists; the larger baselines would run for hours.
+//! engine 100× past the paper"). BENCH_6.json records the same cells with
+//! those optimizations off, measured once when they landed.
 
-use crate::json::{escape, num};
-use crate::perf::PerfRecord;
+use crate::perf::{self, PerfRecord};
 use crate::Table;
 use memres_core::prelude::*;
 use memres_des::units::MB;
-use std::fmt::Write as _;
-use std::time::Instant;
 
 /// One synthetic scale cell: nominal node and task counts are in the name;
 /// exact producer/reducer counts below.
@@ -92,16 +83,8 @@ pub fn cell(name: &str) -> Option<ScaleCell> {
     SCALE_CELLS.iter().copied().find(|c| c.name == name)
 }
 
-/// Whether the un-optimized configuration finishes in sane wall-clock.
-/// Per-node fetch flows are quadratic in nodes inside the water-filler, so
-/// only the 192-node smoke cell gets a measured baseline; the larger cells'
-/// baseline column stays empty (that infeasibility *is* the result).
-pub fn baseline_feasible(name: &str) -> bool {
-    name == "scale_smoke"
-}
-
-fn config(seed: u64, baseline: bool) -> EngineConfig {
-    let cfg = EngineConfig {
+fn config(seed: u64) -> EngineConfig {
+    EngineConfig {
         input: InputSource::Lustre,
         shuffle: ShuffleStore::Local(StoreDevice::RamDisk),
         scheduler: SchedulerKind::Fifo,
@@ -110,25 +93,16 @@ fn config(seed: u64, baseline: bool) -> EngineConfig {
     }
     // Homogeneous nodes: no periodic SpeedResample events, so the event
     // count measures job structure, not sampling cadence.
-    .homogeneous();
-    if baseline {
-        cfg.with_legacy_event_queue()
-            .with_rack_agg_threshold(u32::MAX)
-    } else {
-        cfg
-    }
+    .homogeneous()
 }
 
-/// Run one cell; `baseline` turns the optimizations off.
-pub fn run(c: ScaleCell, seed: u64, baseline: bool) -> PerfRecord {
+/// Run one cell.
+pub fn run(c: ScaleCell, seed: u64) -> PerfRecord {
     let spec = memres_cluster::hyperion().scaled_workers(c.workers);
     let gb = memres_workloads::GroupBy::new(c.input_bytes())
         .with_split(c.split_mb * MB)
         .with_reducers(c.reducers);
-    let t0 = Instant::now();
-    let mut d = Driver::new(spec, config(seed, baseline));
-    let m = d.run_for_metrics(&gb.build(), gb.action());
-    PerfRecord::of_driver(c.name, t0.elapsed().as_secs_f64(), m.job_time(), &d)
+    perf::time_run(c.name, spec, config(seed), &gb)
 }
 
 /// The cells a given invocation runs: the smoke cell alone under
@@ -141,62 +115,18 @@ pub fn selected(smoke: bool) -> Vec<ScaleCell> {
         .collect()
 }
 
-pub fn table(records: &[PerfRecord], baseline: bool) -> Table {
-    let mut t = Table::new(
+pub fn table(records: &[PerfRecord]) -> Table {
+    perf::runs_table(
         "scale",
-        if baseline {
-            "scale cells, optimizations OFF (legacy heap queue, per-node flows)"
-        } else {
-            "scale cells: engine throughput at 100x paper scale"
-        },
-        &["wall_s", "sim_job_s", "events", "events_per_s", "heap_mb"],
-    );
-    for r in records {
-        t.row(
-            r.name,
-            vec![
-                r.wall_s,
-                r.sim_s,
-                r.events as f64,
-                r.events_per_sec(),
-                r.heap_bytes as f64 / (1024.0 * 1024.0),
-            ],
-        );
-    }
-    t
+        "scale cells: engine throughput at 100x paper scale",
+        records,
+    )
 }
 
-/// Machine-readable record, the shape checked into BENCH_6.json plus each
-/// run's [`crate::perf::CoreWork`] counters flat.
-pub fn to_json(seed: u64, baseline: bool, records: &[PerfRecord]) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"target\": \"scale\",");
-    let _ = writeln!(out, "  \"baseline\": {baseline},");
-    let _ = writeln!(out, "  \"seed\": {seed},");
-    out.push_str("  \"runs\": [");
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    {{\"name\": \"{}\", \"wall_s\": {}, \"sim_job_s\": {}, \"events\": {}, \"events_per_s\": {}, \"heap_bytes\": {}, {}}}",
-            escape(r.name),
-            num(r.wall_s),
-            num(r.sim_s),
-            r.events,
-            num(r.events_per_sec()),
-            r.heap_bytes,
-            r.core.json_fields(),
-        );
-    }
-    if !records.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n");
-    let total: f64 = records.iter().map(|r| r.wall_s).sum();
-    let _ = write!(out, "  \"total_wall_s\": {}\n}}", num(total));
-    out
+/// Machine-readable record: `{"target": "scale", "seed", "runs": [...],
+/// "total_wall_s"}`, each run in the shape `repro bench` writes.
+pub fn to_json(seed: u64, records: &[PerfRecord]) -> String {
+    perf::runs_json("scale", &[format!("\"seed\": {seed}")], records)
 }
 
 #[cfg(test)]
@@ -238,7 +168,7 @@ mod tests {
     #[test]
     fn smoke_cell_runs_and_aggregates() {
         let c = cell("scale_smoke").unwrap();
-        let r = run(c, 1, false);
+        let r = run(c, 1);
         assert!(r.events > 0 && r.sim_s > 0.0);
         assert!(r.heap_bytes > 0);
     }
@@ -257,7 +187,7 @@ mod tests {
             split_mb: 32.0,
             producers: 8_000,
         };
-        let r = run(c, 1, false);
+        let r = run(c, 1);
         assert_eq!(r.events, 43_965, "event count must not move");
         // One launch per producer, per producer's store flush, per reducer.
         assert_eq!(r.core.launches, 2 * c.producers + c.reducers as u64);
@@ -285,12 +215,14 @@ mod tests {
                 launches: 5,
             },
         };
-        let j = to_json(1, false, &[r]);
+        let j = to_json(1, &[r]);
         assert!(j.contains("\"target\": \"scale\""));
-        assert!(j.contains("\"baseline\": false"));
+        assert!(!j.contains("\"baseline\""));
         assert!(j.contains("\"events_per_s\": 10000.0"));
         assert!(j.contains(
-            "\"heap_bytes\": 1024, \"dispatch_calls\": 4, \"dispatch_passes\": 9, \"pick_calls\": 6, \"launches\": 5}"
+            "\"heap_bytes\": 1024, \"recomputes\": 0, \"waterfill_iters\": 0, \"next_event_calls\": 0, \
+             \"next_event_misses\": 0, \"next_event_scans\": 0, \"advance_calls\": 0, \"shared_pushes\": 0, \
+             \"dispatch_calls\": 4, \"dispatch_passes\": 9, \"pick_calls\": 6, \"launches\": 5}"
         ));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
     }

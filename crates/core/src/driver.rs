@@ -35,9 +35,6 @@ impl Driver {
         cfg.validate(spec.workers)?;
         let world = SimWorld::new(spec, cfg);
         let mut sim = Simulation::new(world);
-        if sim.model.cfg.legacy_event_queue {
-            sim.use_legacy_queue();
-        }
         sim.max_steps = 500_000_000;
         if sim.model.cfg.speed_sigma > 0.0 {
             let period = sim.model.cfg.speed_resample;
@@ -56,6 +53,15 @@ impl Driver {
     /// DESIGN.md §4.15). Defaults to on in debug builds.
     pub fn set_strict_schedule(&mut self, strict: bool) {
         self.sim.set_strict_schedule(strict);
+    }
+
+    /// Oracle hook, not a setting: move this driver onto the reference
+    /// `BinaryHeap` event calendar. Both calendars pop in identical
+    /// `(time, seq)` order, so every result is unchanged; the determinism
+    /// tests and the fuzz harness's export oracle run a job on each and
+    /// compare the bytes.
+    pub fn use_heap_queue(&mut self) {
+        self.sim.use_legacy_queue();
     }
 
     pub fn world(&self) -> &SimWorld {

@@ -532,11 +532,11 @@ struct PlacedPart {
     lustre: Option<LustreFile>,
 }
 
-/// A real-partition UDF chain captured at task launch and evaluated off the
-/// critical path (possibly on a worker pool — see
-/// [`SimWorld::flush_pending_chains`]). Everything needed by
-/// [`run_narrow_chain`] is either `Copy` or a shared `Arc`, so evaluation is
-/// a pure function of this struct.
+/// A compute task's narrow chain captured at launch. A real-partition chain
+/// is evaluated off the critical path (possibly on a worker pool — see
+/// [`SimWorld::flush_pending_chains`]); a synthetic one inline. Everything
+/// needed by [`run_narrow_chain`] is either `Copy` or a shared `Arc`, so
+/// evaluation is a pure function of this struct.
 struct PendingChain {
     task: u32,
     /// The owning job's plan, captured at launch — chain evaluation happens
@@ -553,6 +553,26 @@ struct PendingChain {
     /// instead of `plan.stages[stage]` (see `launch_recovered_compute`).
     stage_override: Option<Arc<StagePlan>>,
 }
+
+impl PendingChain {
+    fn eval(&self) -> ChainOut {
+        let stage = self
+            .stage_override
+            .as_deref()
+            .unwrap_or(&self.plan.stages[self.stage]);
+        run_narrow_chain(
+            stage,
+            self.in_bytes,
+            self.in_records,
+            self.data.clone(),
+            self.speed,
+        )
+    }
+}
+
+/// A compute task's resolved input: (bytes, records, real data, the I/O to
+/// issue, locality).
+type TaskInput = (f64, u64, Option<Arc<[Record]>>, IoPlan, TaskLocality);
 
 /// What [`run_narrow_chain`] produces: (compute seconds, output bytes,
 /// output records, real output, cache snapshots).
@@ -2253,11 +2273,8 @@ impl SimWorld {
         out: &mut Outbox<Ev>,
     ) {
         let plan = self.plan_of(task);
-        let stage_idx = self.tasks.stage[task as usize] as usize;
-        let stage = &plan.stages[stage_idx];
-
-        // Resolve input: bytes, records, data, the I/O to issue, locality.
-        let (in_bytes, in_records, data, io_plan, locality) = match &stage.input {
+        let stage = &plan.stages[self.tasks.stage[task as usize] as usize];
+        let input = match &stage.input {
             StageInput::Dataset { rdd, .. } => self.dataset_input(*rdd, part, node),
             StageInput::Cached { rdd } => {
                 match self.blockmgr.try_partition(*rdd, part) {
@@ -2278,64 +2295,76 @@ impl SimWorld {
             }
             StageInput::Shuffle(_) => unreachable!("fetch tasks use launch_fetch"),
         };
+        self.start_chain(now, task, part, input, None, out);
+    }
 
-        let speed = self.speed(node);
-        let deferred = data.is_some();
+    /// Start a compute task's chain over its resolved input and issue the
+    /// input I/O on the node it launched on. A real partition's chain is a
+    /// pure function of the shared input: defer it so the dispatch round can
+    /// evaluate all such chains on the worker pool, then commit in launch
+    /// order (`flush_pending_chains` also schedules the finish). A synthetic
+    /// partition's chain is size-model arithmetic only: run and commit it
+    /// inline.
+    fn start_chain(
+        &mut self,
+        now: SimTime,
+        task: u32,
+        part: u32,
+        (in_bytes, in_records, data, io_plan, locality): TaskInput,
+        stage_override: Option<Arc<StagePlan>>,
+        out: &mut Outbox<Ev>,
+    ) {
+        let i = task as usize;
+        let node = self.tasks.node[i];
+        self.tasks.input_bytes[i] = in_bytes;
+        self.tasks.locality[i] = locality;
+        let chain = PendingChain {
+            task,
+            plan: self.plan_of(task),
+            stage: self.tasks.stage[i] as usize,
+            part,
+            node,
+            in_bytes,
+            in_records,
+            data,
+            speed: self.speed(node),
+            stage_override,
+        };
+        let deferred = chain.data.is_some();
         if deferred {
-            // Real partition: the UDF chain is a pure function of the shared
-            // input — defer it so the dispatch round can evaluate all such
-            // chains on the worker pool, then commit in launch order.
-            self.tasks.input_bytes[task as usize] = in_bytes;
-            self.tasks.locality[task as usize] = locality;
-            self.pending_chains.push(PendingChain {
-                task,
-                plan: plan.clone(),
-                stage: stage_idx,
-                part,
-                node,
-                in_bytes,
-                in_records,
-                data,
-                speed,
-                stage_override: None,
-            });
+            self.pending_chains.push(chain);
         } else {
-            // Synthetic partition: size-model arithmetic only, run inline.
-            let (dur, out_bytes, out_records, out_data, snaps) =
-                run_narrow_chain(stage, in_bytes, in_records, None, speed);
-            let dur = dur.mul_f64(self.jitter(task)) + self.cfg.spark.task_overhead;
-            {
-                let i = task as usize;
-                self.tasks.compute_dur[i] = dur;
-                self.tasks.input_bytes[i] = in_bytes;
-                self.tasks.output_bytes[i] = out_bytes;
-                self.tasks.records_est[i] = out_records;
-                self.tasks.records_out[i] = out_data;
-                self.tasks.locality[i] = locality;
-            }
-            for (rdd, bytes, records, snapshot) in snaps {
-                self.blockmgr
-                    .insert(rdd, part, node, Bytes(bytes), records, snapshot);
-            }
+            let result = chain.eval();
+            self.commit_chain(&chain, result);
         }
-
         self.issue_io_plan(now, task, node, in_bytes, io_plan, out);
-
-        // A deferred chain has no compute duration yet; its commit in
-        // `flush_pending_chains` schedules the finish instead.
         if !deferred {
             self.maybe_schedule_finish(now, task, out);
         }
     }
 
+    /// Commit an evaluated chain: the jittered compute duration, the output
+    /// fields, and the cache snapshots taken at its cache points.
+    fn commit_chain(
+        &mut self,
+        chain: &PendingChain,
+        (dur, out_bytes, out_records, out_data, snaps): ChainOut,
+    ) {
+        let i = chain.task as usize;
+        self.tasks.compute_dur[i] =
+            dur.mul_f64(self.jitter(chain.task)) + self.cfg.spark.task_overhead;
+        self.tasks.output_bytes[i] = out_bytes;
+        self.tasks.records_est[i] = out_records;
+        self.tasks.records_out[i] = out_data;
+        for (rdd, bytes, records, snapshot) in snaps {
+            self.blockmgr
+                .insert(rdd, chain.part, chain.node, Bytes(bytes), records, snapshot);
+        }
+    }
+
     /// Input description for a dataset-rooted compute task (also used when
     /// rebuilding a lost cached partition from lineage).
-    fn dataset_input(
-        &self,
-        rdd: RddId,
-        part: u32,
-        node: u32,
-    ) -> (f64, u64, Option<Arc<[Record]>>, IoPlan, TaskLocality) {
+    fn dataset_input(&self, rdd: RddId, part: u32, node: u32) -> TaskInput {
         let placed = &self.placed[&rdd][part as usize];
         let bytes = placed.bytes;
         let records = placed.records;
@@ -2465,8 +2494,7 @@ impl SimWorld {
         out: &mut Outbox<Ev>,
     ) {
         let plan = self.plan_of(task);
-        let stage_idx = self.tasks.stage[task as usize] as usize;
-        let stage = &plan.stages[stage_idx];
+        let stage = &plan.stages[self.tasks.stage[task as usize] as usize];
         let Some(spec) = plan.recovery.get(&rdd) else {
             // lint:allow(panic): unrecoverable by design: a cache below a shuffle has no per-partition lineage; dying loudly beats silently wrong output
             panic!(
@@ -2494,51 +2522,9 @@ impl SimWorld {
             cache_points,
             shuffle_out: stage.shuffle_out,
         });
-        let source = spec.source;
-        let dataset = spec.dataset.clone();
-        self.ensure_placed(source, &dataset);
-        let (in_bytes, in_records, data, io_plan, locality) =
-            self.dataset_input(source, part, node);
-
-        let speed = self.speed(node);
-        let deferred = data.is_some();
-        if deferred {
-            self.tasks.input_bytes[task as usize] = in_bytes;
-            self.tasks.locality[task as usize] = locality;
-            self.pending_chains.push(PendingChain {
-                task,
-                plan: plan.clone(),
-                stage: stage_idx,
-                part,
-                node,
-                in_bytes,
-                in_records,
-                data,
-                speed,
-                stage_override: Some(rec_stage),
-            });
-        } else {
-            let (dur, out_bytes, out_records, out_data, snaps) =
-                run_narrow_chain(&rec_stage, in_bytes, in_records, None, speed);
-            let dur = dur.mul_f64(self.jitter(task)) + self.cfg.spark.task_overhead;
-            {
-                let i = task as usize;
-                self.tasks.compute_dur[i] = dur;
-                self.tasks.input_bytes[i] = in_bytes;
-                self.tasks.output_bytes[i] = out_bytes;
-                self.tasks.records_est[i] = out_records;
-                self.tasks.records_out[i] = out_data;
-                self.tasks.locality[i] = locality;
-            }
-            for (r, bytes, records, snapshot) in snaps {
-                self.blockmgr
-                    .insert(r, part, node, Bytes(bytes), records, snapshot);
-            }
-        }
-        self.issue_io_plan(now, task, node, in_bytes, io_plan, out);
-        if !deferred {
-            self.maybe_schedule_finish(now, task, out);
-        }
+        self.ensure_placed(spec.source, &spec.dataset);
+        let input = self.dataset_input(spec.source, part, node);
+        self.start_chain(now, task, part, input, Some(rec_stage), out);
     }
 
     /// Evaluate every real-partition chain captured this dispatch round and
@@ -2557,15 +2543,8 @@ impl SimWorld {
         let jobs = std::mem::take(&mut self.pending_chains);
         let n = jobs.len();
         let threads = self.executor_threads.min(n);
-        let eval = |j: &PendingChain| {
-            let stage = j
-                .stage_override
-                .as_deref()
-                .unwrap_or(&j.plan.stages[j.stage]);
-            run_narrow_chain(stage, j.in_bytes, j.in_records, j.data.clone(), j.speed)
-        };
         let results: Vec<ChainOut> = if threads <= 1 {
-            jobs.iter().map(eval).collect()
+            jobs.iter().map(PendingChain::eval).collect()
         } else {
             use std::sync::atomic::{AtomicUsize, Ordering};
             use std::sync::Mutex;
@@ -2578,7 +2557,7 @@ impl SimWorld {
                         if i >= n {
                             break;
                         }
-                        let r = eval(&jobs[i]);
+                        let r = jobs[i].eval();
                         // lint:allow(panic): a poisoned slot means a UDF panicked on a worker thread; propagating is the only sound option
                         *slots[i].lock().expect("chain slot poisoned") = Some(r);
                     });
@@ -2593,19 +2572,8 @@ impl SimWorld {
                 })
                 .collect()
         };
-        for (j, (dur, out_bytes, out_records, out_data, snaps)) in jobs.iter().zip(results) {
-            let dur = dur.mul_f64(self.jitter(j.task)) + self.cfg.spark.task_overhead;
-            {
-                let i = j.task as usize;
-                self.tasks.compute_dur[i] = dur;
-                self.tasks.output_bytes[i] = out_bytes;
-                self.tasks.records_est[i] = out_records;
-                self.tasks.records_out[i] = out_data;
-            }
-            for (rdd, bytes, records, snapshot) in snaps {
-                self.blockmgr
-                    .insert(rdd, j.part, j.node, Bytes(bytes), records, snapshot);
-            }
+        for (j, result) in jobs.iter().zip(results) {
+            self.commit_chain(j, result);
             self.maybe_schedule_finish(now, j.task, out);
         }
     }

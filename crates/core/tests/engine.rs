@@ -410,16 +410,15 @@ fn rack_aggregation_preserves_results_and_collapses_flows() {
 }
 
 #[test]
-fn legacy_event_queue_is_byte_identical() {
+fn heap_event_queue_is_byte_identical() {
     // The calendar queue's pop order is the heap's total order: identical
     // simulated timings on an end-to-end job, not just in the differential
     // proptest.
-    let mk = |legacy: bool| {
-        let mut cfg = EngineConfig::default().homogeneous();
-        if legacy {
-            cfg = cfg.with_legacy_event_queue();
+    let mk = |heap: bool| {
+        let mut d = driver(EngineConfig::default().homogeneous());
+        if heap {
+            d.use_heap_queue();
         }
-        let mut d = driver(cfg);
         let m = d.run_for_metrics(&groupby_synthetic(128.0), Action::Count);
         (m.job_time(), d.engine_steps())
     };

@@ -149,11 +149,11 @@ fn stream_replay_is_byte_identical_across_threads_and_queues() {
     // multi-job run must serialize identically across executor_threads
     // 1 vs 4 and the calendar vs legacy event queue.
     let run = |threads: usize, legacy: bool| {
-        let mut cfg = base_cfg().with_executor_threads(threads);
-        if legacy {
-            cfg = cfg.with_legacy_event_queue();
-        }
+        let cfg = base_cfg().with_executor_threads(threads);
         let mut d = Driver::new(memres_cluster::tiny(6), cfg);
+        if legacy {
+            d.use_heap_queue();
+        }
         let finished = d.run_stream(stream_spec(InterJobPolicy::FairShare, 42));
         render(&finished, 2)
     };

@@ -1,8 +1,9 @@
-//! Minimal JSON emission helpers.
+//! The one JSON string and number writer every exporter shares.
 //!
-//! The build environment has no registry access, so serde_json is not
-//! available; the handful of JSON documents this crate writes (table dumps,
-//! perf records) are built with these two functions instead.
+//! The workspace builds without registry crates, so serde_json is not
+//! available; every JSON document the stack writes (job metrics, trace
+//! events, result tables, perf records) renders its strings and floats
+//! through these two functions, so they agree byte for byte.
 
 /// Escape a string for inclusion inside JSON double quotes.
 pub fn escape(s: &str) -> String {
@@ -23,14 +24,16 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// Render an f64 as a JSON number (non-finite values become `null`, matching
-/// serde_json's behaviour for f64).
+/// Render an f64 as a JSON number: `Display` (shortest round-trip digits,
+/// never an exponent) plus a trailing `.0` on integral values, so the output
+/// is byte-stable for identical inputs. Non-finite values become `null`,
+/// matching serde_json's behaviour for f64.
 pub fn num(v: f64) -> String {
     if !v.is_finite() {
         return "null".to_string();
     }
     let s = format!("{v}");
-    if s.contains('.') || s.contains('e') || s.contains('E') {
+    if s.contains('.') {
         s
     } else {
         format!("{s}.0")
@@ -54,5 +57,8 @@ mod tests {
         assert_eq!(num(f64::NAN), "null");
         assert_eq!(num(f64::INFINITY), "null");
         assert_eq!(num(2.0), "2.0");
+        assert_eq!(num(-0.5), "-0.5");
+        assert_eq!(num(1e21), "1000000000000000000000.0");
+        assert_eq!(num(f64::NEG_INFINITY), "null");
     }
 }

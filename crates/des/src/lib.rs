@@ -16,6 +16,7 @@
 
 pub mod bytes;
 pub mod det;
+pub mod json;
 pub mod ps;
 pub mod queue;
 pub mod sim;

@@ -9,9 +9,10 @@
 //!   structure resizes itself on load factor and re-estimates its bucket
 //!   width from the inter-quartile spread of buffered event times, so both
 //!   dense same-instant storms and sparse far-future timers stay O(1)-ish.
-//! * **Heap** (legacy) — the original `BinaryHeap`, kept for baseline
-//!   benchmarking (`EngineConfig::legacy_event_queue`) and as the oracle the
-//!   calendar is differentially tested against.
+//! * **Heap** (reference) — the original `BinaryHeap`, kept as the oracle
+//!   the calendar is differentially tested against (`calendar_matches_heap`)
+//!   and reachable from an engine run only through the test hook
+//!   `Driver::use_heap_queue`.
 //!
 //! Both pop in exactly ascending `(time, seq)` order; events scheduled at
 //! the same instant pop in insertion order, which keeps simulations
@@ -283,9 +284,8 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// The legacy `BinaryHeap` implementation: the baseline for perf
-    /// comparisons and the oracle for differential tests. Pop order is
-    /// identical to [`EventQueue::new`].
+    /// The reference `BinaryHeap` implementation: the oracle for
+    /// differential tests. Pop order is identical to [`EventQueue::new`].
     pub fn heap() -> Self {
         EventQueue {
             imp: Imp::Heap(BinaryHeap::new()),
@@ -329,7 +329,7 @@ impl<E> EventQueue<E> {
         self.len == 0
     }
 
-    /// Calendar health for engine self-stats (DESIGN.md §4.16). The legacy
+    /// Calendar health for engine self-stats (DESIGN.md §4.16). The reference
     /// heap reports zero buckets and everything in the overflow tier.
     pub fn stats(&self) -> QueueStats {
         match &self.imp {
@@ -538,7 +538,7 @@ mod proptests {
         }
 
         /// Differential: the calendar queue pops in exactly the same order
-        /// as the legacy BinaryHeap on interleaved push/pop streams mixing
+        /// as the reference BinaryHeap on interleaved push/pop streams mixing
         /// clustered, spread, and far-future times.
         #[test]
         fn calendar_matches_heap(

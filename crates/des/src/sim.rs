@@ -146,14 +146,15 @@ impl<M: Model> Simulation<M> {
         self.strict = strict;
     }
 
-    /// Swap in the legacy `BinaryHeap` event calendar (baseline mode for
-    /// perf comparisons). Must be called before any event is scheduled.
+    /// Swap in the reference `BinaryHeap` event calendar, the oracle the
+    /// calendar queue is tested against. Events already scheduled move
+    /// over in pop order, so the pop sequence is unchanged.
     pub fn use_legacy_queue(&mut self) {
-        assert!(
-            self.queue.is_empty(),
-            "queue implementation must be chosen before scheduling events"
-        );
-        self.queue = EventQueue::heap();
+        let mut heap = EventQueue::heap();
+        while let Some((time, event)) = self.queue.pop() {
+            heap.push(time, event);
+        }
+        self.queue = heap;
     }
 
     pub fn now(&self) -> SimTime {
@@ -316,6 +317,23 @@ mod tests {
         assert_eq!(sim.model.fired[0], (SimTime::from_secs_f64(2.0), 3));
         assert_eq!(sim.model.fired[3], (SimTime::from_secs_f64(5.0), 0));
         assert_eq!(sim.steps(), 4);
+    }
+
+    #[test]
+    fn heap_swap_keeps_pending_events_in_order() {
+        let run = |swap: bool| {
+            let mut sim = Simulation::new(Countdown { fired: vec![] });
+            for (t, n) in [(3.0, 1), (1.0, 2), (3.0, 0), (1.0, 4)] {
+                sim.schedule(SimTime::from_secs_f64(t), Ev::Tick(n));
+            }
+            if swap {
+                sim.use_legacy_queue();
+            }
+            sim.run();
+            sim.model.fired
+        };
+        assert_eq!(run(true), run(false));
+        assert_eq!(run(true).len(), 11);
     }
 
     #[test]

@@ -1,25 +1,19 @@
 #!/usr/bin/env bash
-# Regenerate BENCH_10.json: before/after engine-throughput evidence for the
-# scale-out work (calendar queue + rack aggregation + SoA arenas), re-baselined
-# after the metrics-plane PR (sampler is off by default in bench runs, so
-# release-build throughput and sim_job_s must be unchanged — `repro diff
-# BENCH_9.json BENCH_10.json` in scripts/check.sh holds that line).
+# Regenerate a BENCH_*.json engine-throughput reference (default
+# BENCH_10.json): the paper cells and the scale family, run with a release
+# build, merged into one document.
 #
 #   scripts/bench_baseline.sh [OUT_JSON]
 #
-# Runs, with a release build:
-#   repro bench                    paper cells, optimized       (after)
-#   repro bench  --baseline        paper cells, legacy queue    (before)
-#   repro scale  --smoke           CI scale cell, optimized     (after)
-#   repro scale  --smoke --baseline  CI scale cell, per-node    (before)
-#   repro scale                    full scale family, optimized (after)
-#   repro scale  --baseline        full family; only baseline-feasible
-#                                  cells run (per-node flows beyond a few
-#                                  hundred nodes never finish — see
-#                                  DESIGN.md, rack aggregation)
-# and merges the per-target JSON into one before/after document. Run on an
-# otherwise-idle machine; the checked-in file is the reference CI floors
-# are computed from (scripts/check.sh, .github/workflows/ci.yml).
+# Runs:
+#   repro bench            paper cells
+#   repro scale  --smoke   CI scale cell
+#   repro scale            full scale family
+# and writes them as `paper_cells.after` / `scale_cells.after`, the keys
+# scripts/check.sh reads its scale-smoke events/s floor from and `repro diff`
+# joins on. The optimizations-off "before" half is recorded once, in
+# BENCH_6.json; host-time comparisons between two builds are same-host
+# perfbench/ runs. Run on an otherwise-idle machine.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,50 +25,24 @@ cargo build --release -q -p memres-bench
 
 REPRO=target/release/repro
 "$REPRO" bench --json "$TMP" >/dev/null
-"$REPRO" bench --baseline --json "$TMP" >/dev/null
 "$REPRO" scale --smoke --json "$TMP/smoke" >/dev/null
-"$REPRO" scale --smoke --baseline --json "$TMP/smoke" >/dev/null
 "$REPRO" scale --json "$TMP" >/dev/null
-"$REPRO" scale --baseline --json "$TMP" >/dev/null 2>&1 || true
 
 python3 - "$TMP" "$OUT" <<'EOF'
 import json, sys, os
 
 tmp, out = sys.argv[1], sys.argv[2]
 
-def load(path):
-    full = os.path.join(tmp, path)
-    if not os.path.exists(full):
-        return {"runs": []}
-    with open(full) as f:
-        return json.load(f)
-
-after = load("scale.json")
-smoke_after = load("smoke/scale.json")
-smoke_before = load("smoke/scale_baseline.json")
-before = load("scale_baseline.json")
+def runs(path):
+    with open(os.path.join(tmp, path)) as f:
+        return json.load(f)["runs"]
 
 doc = {
-    "issue": 10,
-    "note": "engine throughput before/after the scale-out work; "
-            "'before' = legacy binary-heap event queue + per-node fetch "
-            "flows (rack aggregation off). Missing 'before' rows are "
-            "baseline-infeasible cells (per-node flows at >=1k nodes).",
-    "paper_cells": {
-        "before": load("bench_baseline.json")["runs"],
-        "after": load("bench.json")["runs"],
-    },
-    "scale_cells": {
-        "before": smoke_before["runs"] + before["runs"],
-        "after": smoke_after["runs"] + after["runs"],
-    },
+    "note": "engine throughput of the paper cells and the scale family; "
+            "the optimizations-off 'before' runs are in BENCH_6.json.",
+    "paper_cells": {"after": runs("bench.json")},
+    "scale_cells": {"after": runs("smoke/scale.json") + runs("scale.json")},
 }
-
-names = {r["name"]: r for r in doc["scale_cells"]["before"]}
-for r in doc["scale_cells"]["after"]:
-    b = names.get(r["name"])
-    if b and b["events_per_s"] > 0:
-        r["speedup_events_per_s"] = round(r["events_per_s"] / b["events_per_s"], 2)
 
 with open(out, "w") as f:
     json.dump(doc, f, indent=2)
